@@ -1,55 +1,32 @@
-//! P1/P2/P3 — planner/executor hot paths: indexed point lookups, indexed
-//! range scans, bounded top-k ORDER BY + LIMIT, `CandidateSet::refine`
-//! over the cinema corpus (all tracked since PR 1), the PR 2 optimizer
-//! levers — multi-index AND intersection and cardinality-greedy
-//! three-table join ordering with staged predicate pushdown — the
-//! PR 3 join-execution layer (build-side hash join and merge join over
-//! ordered indexes for unindexed join columns), the PR 4 build-side
-//! pushdown (a selective conjunct on the join table pre-filters the hash
-//! build instead of running as a residual filter), the PR 5
-//! correlation-aware estimator (joint 2-D MCV statistics decline a
-//! redundant intersection probe on a correlated column pair), and the
-//! PR 6 memory-robustness layer (a skewed and a near-distinct 10k-row
-//! build executed under a 256 KiB budget: partitioned build, hot keys on
-//! the always-resident path, against the unbudgeted in-place build).
+//! Planner/executor hot paths, one median per group: indexed point
+//! lookups, range scans and top-k ORDER BY + LIMIT over 50k rows,
+//! multi-index AND, correlated-pair estimation, three-table join
+//! ordering, unindexed hash and merge joins, build-side pushdown,
+//! budget-partitioned joins (skewed and near-distinct keys), MVCC
+//! snapshot reads under a concurrent writer, morsel-parallel scans and
+//! hash builds, mixed read/write throughput, buffered WAL commits,
+//! snapshot-based recovery and `CandidateSet::refine` over the cinema
+//! corpus.
 //!
-//! The PR 1 groups measure *before* (naive reference executor / forward
-//! path walk) against *after* (planned executor); the PR 2 groups measure
-//! the PR 1 planner shape (`PlanOptions::single_access_path()`: one
-//! access path, FROM-order joins, post-join filtering) against the full
-//! planner on identical executor code; the PR 3 groups measure the PR 2
-//! shape (`PlanOptions::per_key_joins()`: unindexed join columns degrade
-//! to a right-table scan *per outer tuple*) against the join-strategy
-//! planner; the PR 4 group measures the PR 3 shape
-//! (`PlanOptions::no_build_pushdown()`: the build side is always hashed
-//! in full, join-side conjuncts run as residual filters) against the
-//! pre-filtered build; the PR 5 group measures the PR 4 estimator
-//! (`PlanOptions::independence_only()`: conjunct selectivities multiply
-//! as if independent) against the joint-stats/backoff estimator on a
-//! correlated column pair; the PR 6 groups measure budget-degraded
-//! (partitioned) execution against the unbudgeted in-place build — a
-//! bounded-regression pair rather than a speedup: the partitioned path
-//! pays one extra pass to keep its peak under the budget. The PR 9
-//! groups measure serial (`worker_threads = 1`) against morsel-parallel
-//! (`worker_threads = 4`) execution of a selective unindexed scan and a
-//! duplicate-heavy hash build, plus a first mixed read/write throughput
-//! group: snapshot readers racing two writer threads over an `RwLock`d
-//! database. The PR 10 groups price durability: `wal_commit_2k`
-//! measures single-row update commits against a write-ahead-logged
-//! database with the per-commit fsync on (the durable default) and off —
-//! a latency trade, not a code-path speedup — and `recovery_replay_10k`
-//! measures `Database::open` replaying a 10k-record log against opening
-//! the same state folded into a checkpoint snapshot, which is what
-//! `CHECKPOINT` buys at startup. Medians and speedups land in
-//! `BENCH_PR10.json` at the workspace root; CI diffs the shared group
-//! names against the committed baselines (`scripts/bench_compare.rs`)
-//! and fails on >25% regressions of the machine-normalized medians.
+//! Every group first asserts that its timed path agrees with an
+//! independent one — the naive reference executor
+//! (`execute_select_reference`), the forward walk (`refine_by_walk`),
+//! the serial or unbudgeted plan, or log replay vs snapshot load
+//! (`dump_sql`) — and then times only the planned path.
+//!
+//! Every timing sample is paired with a run of a fixed std-only
+//! calibration kernel ([`calibration_kernel`]). `BENCH_PR14.json`
+//! records the kernel's median next to the group medians, and
+//! `scripts/bench_compare.rs` gates each group's `median / calibration`
+//! against a committed baseline — so a slowdown in shared code (say
+//! `Table::scan`) shows up instead of cancelling out.
 //!
 //! Run with: `cargo bench -p cat-bench --bench planner`
 
+use std::collections::HashMap;
+use std::hint::black_box;
 use std::io::Write as _;
-
-use criterion::{Criterion, Measurement};
+use std::time::Instant;
 
 use cat_corpus::{generate_cinema, CinemaConfig};
 use cat_policy::{Attribute, CandidateSet};
@@ -94,11 +71,59 @@ fn listings(n: usize) -> Database {
     db
 }
 
-fn run_both(c: &mut Criterion, group: &str, db: &mut Database, sql: &str) {
+/// One bench run: the calibration samples and, per group, the median
+/// of its calibrated samples (see [`time`]).
+#[derive(Default)]
+struct Run {
+    calibration_ns: Vec<f64>,
+    groups: Vec<(String, f64)>,
+}
+
+/// Wall time one sample of a group aims for; fast routines repeat
+/// within a sample until they fill it.
+const SAMPLE_NS: f64 = 5e6;
+
+/// Samples per group.
+const SAMPLES: usize = 100;
+
+/// Time [`SAMPLES`] samples of `routine` for `group`. Each sample runs the
+/// calibration kernel once and then the routine, so both see the
+/// machine in the same state; the group records the median of the
+/// per-sample ratios `routine / kernel`.
+fn time<O>(run: &mut Run, group: &str, mut routine: impl FnMut() -> O) {
+    let t = Instant::now();
+    black_box(routine());
+    let once = t.elapsed().as_nanos().max(1) as f64;
+    let iters = (SAMPLE_NS / once).clamp(1.0, 1e6) as u32;
+    let mut ratios = Vec::with_capacity(SAMPLES);
+    for _ in 0..SAMPLES {
+        let t = Instant::now();
+        black_box(calibration_kernel());
+        let kernel = t.elapsed().as_nanos() as f64;
+        let t = Instant::now();
+        for _ in 0..iters {
+            black_box(routine());
+        }
+        let per_iter = t.elapsed().as_nanos() as f64 / f64::from(iters);
+        run.calibration_ns.push(kernel);
+        ratios.push(per_iter / kernel);
+    }
+    let ratio = median(&mut ratios);
+    println!("{group:<32} {ratio:>12.6} calibrations ({SAMPLES} samples × {iters} iters)");
+    run.groups.push((group.to_string(), ratio));
+}
+
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Assert the planned executor agrees with the reference executor on
+/// `sql`, then time the planned path.
+fn run_planned(run: &mut Run, group: &str, db: &mut Database, sql: &str) {
     let Statement::Select(sel) = parse_statement(sql).expect("parse") else {
         panic!("not a select")
     };
-    // Sanity: both paths agree before we time them.
     let planned = execute(db, sql).expect("planned");
     let reference = execute_select_reference(db, &sel).expect("reference");
     assert_eq!(
@@ -106,90 +131,74 @@ fn run_both(c: &mut Criterion, group: &str, db: &mut Database, sql: &str) {
         &reference,
         "paths disagree on {sql}"
     );
-
-    let mut g = c.benchmark_group(group);
-    g.sample_size(40);
-    g.bench_function("before_naive", |b| {
-        b.iter(|| execute_select_reference(db, &sel).expect("reference"))
-    });
-    g.finish();
-    let mut g = c.benchmark_group(group);
-    g.sample_size(40);
-    g.bench_function("after_planned", |b| {
-        // `execute` needs &mut for the general statement API; SELECT only
-        // reads (plus the interior stats cache).
-        b.iter(|| execute(db, sql).expect("planned"))
-    });
-    g.finish();
+    // `execute` needs &mut for the general statement API; SELECT only
+    // reads (plus the interior stats cache).
+    time(run, group, || execute(db, sql).expect("planned"));
 }
 
-/// Like [`run_both`], but comparing the PR 1 planner shape against the
-/// full PR 2 planner (multi-index AND, join reordering, staged pushdown)
-/// on the same executor.
-fn run_pr1_vs_pr2(c: &mut Criterion, group: &str, db: &mut Database, sql: &str) {
-    let Statement::Select(sel) = parse_statement(sql).expect("parse") else {
-        panic!("not a select")
-    };
-    let pr1 = PlanOptions::single_access_path();
-    // Sanity: all three paths agree before we time them.
-    let reference = execute_select_reference(db, &sel).expect("reference");
-    let single = execute_select_with(db, &sel, &pr1).expect("single");
-    let planned = execute(db, sql).expect("planned");
-    assert_eq!(
-        planned.rows().expect("rows"),
-        &reference,
-        "paths disagree on {sql}"
-    );
-    assert_eq!(&single, &reference, "PR1 shape disagrees on {sql}");
-
-    let mut g = c.benchmark_group(group);
-    g.sample_size(40);
-    g.bench_function("before_pr1_planner", |b| {
-        b.iter(|| execute_select_with(db, &sel, &pr1).expect("single"))
-    });
-    g.finish();
-    let mut g = c.benchmark_group(group);
-    g.sample_size(40);
-    g.bench_function("after_pr2_planner", |b| {
-        b.iter(|| execute(db, sql).expect("planned"))
-    });
-    g.finish();
+/// The machine calibration: std-only work shaped like the executor's
+/// hot paths — hash-build 64k LCG-generated `u64` keys, probe every key
+/// and a miss next to it, then sort the keys. It uses no repository
+/// code, so no change to the workspace can move it; only the machine
+/// (and the toolchain's std) can.
+fn calibration_kernel() -> u64 {
+    const N: usize = 1 << 16;
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut keys: Vec<u64> = (0..N)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x >> 11
+        })
+        .collect();
+    let mut map: HashMap<u64, u64> = HashMap::with_capacity(N);
+    for (i, &k) in keys.iter().enumerate() {
+        map.insert(k, i as u64);
+    }
+    let mut acc = 0u64;
+    for &k in &keys {
+        acc = acc.wrapping_add(map.get(&k).copied().unwrap_or(0));
+        acc = acc.wrapping_add(map.get(&(k ^ 1)).copied().unwrap_or(1));
+    }
+    keys.sort_unstable();
+    acc ^ keys[N / 2]
 }
 
-fn bench_point_lookup(c: &mut Criterion) {
+fn bench_point_lookup(run: &mut Run) {
     let mut db = listings(50_000);
-    run_both(
-        c,
+    run_planned(
+        run,
         "planner_point_lookup_50k",
         &mut db,
         "SELECT name FROM listing WHERE listing_id = 31337",
     );
 }
 
-fn bench_selective_eq(c: &mut Criterion) {
+fn bench_selective_eq(run: &mut Run) {
     let mut db = listings(50_000);
-    run_both(
-        c,
+    run_planned(
+        run,
         "planner_selective_eq_50k",
         &mut db,
         "SELECT name FROM listing WHERE bucket = 123",
     );
 }
 
-fn bench_range_scan(c: &mut Criterion) {
+fn bench_range_scan(run: &mut Run) {
     let mut db = listings(50_000);
-    run_both(
-        c,
+    run_planned(
+        run,
         "planner_range_50k",
         &mut db,
         "SELECT name, price FROM listing WHERE price >= 10.0 AND price < 25.0",
     );
 }
 
-fn bench_top_k(c: &mut Criterion) {
+fn bench_top_k(run: &mut Run) {
     let mut db = listings(50_000);
-    run_both(
-        c,
+    run_planned(
+        run,
         "planner_topk_50k",
         &mut db,
         "SELECT name, price FROM listing ORDER BY price DESC LIMIT 10",
@@ -227,13 +236,13 @@ fn listings_coarse(n: usize) -> Database {
     db
 }
 
-fn bench_multi_index_and(c: &mut Criterion) {
+fn bench_multi_index_and(run: &mut Run) {
     let mut db = listings_coarse(50_000);
-    // bucket = 7 keeps 2% (1000 rows); the price band keeps 4%. PR 1
-    // fetches the bucket and filters row by row; PR 2 intersects the two
-    // RowId sets and touches only the ~40 surviving rows.
-    run_pr1_vs_pr2(
-        c,
+    // bucket = 7 keeps 2% (1000 rows); the price band keeps 4%: the
+    // planner intersects the two RowId sets and touches only the ~40
+    // surviving rows.
+    run_planned(
+        run,
         "planner_multi_index_and_50k",
         &mut db,
         "SELECT name FROM listing WHERE bucket = 7 AND price >= 10.0 AND price < 30.0",
@@ -241,9 +250,9 @@ fn bench_multi_index_and(c: &mut Criterion) {
 }
 
 /// A star schema for three-table joins: every movie has `fanout`
-/// screenings, but only 1% of movies hold an award. FROM-order joins
-/// build the full movie×screening intermediate before the award join
-/// collapses it; the greedy order joins the tiny award table first.
+/// screenings, but only 1% of movies hold an award. The greedy order
+/// joins the tiny award table first instead of building the full
+/// movie×screening intermediate.
 fn awards_db(movies: usize, fanout: usize) -> Database {
     let mut db = Database::new();
     db.create_table(
@@ -297,22 +306,18 @@ fn awards_db(movies: usize, fanout: usize) -> Database {
     db
 }
 
-/// Like [`run_pr1_vs_pr2`], but comparing the PR 2 per-key join fallback
-/// against the PR 3 join-strategy planner, asserting the after-plan uses
-/// `expect_strategy` somewhere. `samples` is small for the quadratic
-/// before path (the shim still auto-calibrates iterations per sample).
-fn run_per_key_vs_strategies(
-    c: &mut Criterion,
+/// Like [`run_planned`], additionally asserting the plan uses
+/// `expect_strategy` somewhere.
+fn run_join(
+    run: &mut Run,
     group: &str,
     db: &mut Database,
     sql: &str,
     expect_strategy: JoinStrategy,
-    samples: usize,
 ) {
     let Statement::Select(sel) = parse_statement(sql).expect("parse") else {
         panic!("not a select")
     };
-    let per_key = PlanOptions::per_key_joins();
     let plan = plan_select(db, &sel).expect("plan");
     assert!(
         plan.join_order
@@ -321,35 +326,12 @@ fn run_per_key_vs_strategies(
         "expected {expect_strategy:?} in plan, got {}",
         plan.describe()
     );
-    // Sanity: all three paths agree before we time them.
-    let reference = execute_select_reference(db, &sel).expect("reference");
-    let fallback = execute_select_with(db, &sel, &per_key).expect("per-key");
-    let planned = execute(db, sql).expect("planned");
-    assert_eq!(
-        planned.rows().expect("rows"),
-        &reference,
-        "paths disagree on {sql}"
-    );
-    assert_eq!(&fallback, &reference, "per-key shape disagrees on {sql}");
-
-    let mut g = c.benchmark_group(group);
-    g.sample_size(samples);
-    g.bench_function("before_per_key_fallback", |b| {
-        b.iter(|| execute_select_with(db, &sel, &per_key).expect("per-key"))
-    });
-    g.finish();
-    let mut g = c.benchmark_group(group);
-    g.sample_size(40);
-    g.bench_function("after_join_strategy", |b| {
-        b.iter(|| execute(db, sql).expect("planned"))
-    });
-    g.finish();
+    run_planned(run, group, db, sql);
 }
 
-/// Two ~10k-row tables joined on a column with no index at all: the PR 2
-/// fallback scans the right table once per outer tuple (O(n²) row
-/// touches); the join-execution layer builds one hash map and probes it.
-fn bench_join_unindexed_hash(c: &mut Criterion) {
+/// Two ~10k-row tables joined on a column with no index at all: the
+/// planner builds one hash map and probes it.
+fn bench_join_unindexed_hash(run: &mut Run) {
     let mut db = Database::new();
     for t in ["lt", "rt"] {
         db.create_table(
@@ -366,20 +348,19 @@ fn bench_join_unindexed_hash(c: &mut Criterion) {
         db.insert("lt", row![i, i]).expect("insert");
         db.insert("rt", row![i, i]).expect("insert");
     }
-    run_per_key_vs_strategies(
-        c,
+    run_join(
+        run,
         "join_unindexed_hash_10k",
         &mut db,
         "SELECT lt.id, rt.id FROM lt JOIN rt ON rt.k = lt.k",
         JoinStrategy::BuildHash,
-        10,
     );
 }
 
 /// A selective outer stream (indexed point band on the base) against a
 /// 10k-row right side where both join columns carry ordered indexes and
 /// neither a hash index: the planner merges instead of building.
-fn bench_join_merge_range(c: &mut Criterion) {
+fn bench_join_merge_range(run: &mut Run) {
     let mut db = Database::new();
     for t in ["lt", "rt"] {
         db.create_table(
@@ -404,22 +385,20 @@ fn bench_join_merge_range(c: &mut Criterion) {
         db.insert("lt", row![i, i % 2000]).expect("insert");
         db.insert("rt", row![i, i % 2000]).expect("insert");
     }
-    run_per_key_vs_strategies(
-        c,
+    run_join(
+        run,
         "join_merge_range_10k",
         &mut db,
         "SELECT lt.id, rt.id FROM lt JOIN rt ON rt.k = lt.k WHERE lt.id >= 4000 AND lt.id < 4100",
         JoinStrategy::MergeRange,
-        10,
     );
 }
 
 /// A 10k-row build side with an unindexed join key and a selective,
-/// hash-indexed filter column (1% per value): the PR 3 shape hashes all
-/// 10k rows and filters the joined stream afterwards; the build-side
-/// pushdown fetches the ~100 matching rows through the index and hashes
-/// only those.
-fn bench_join_pushdown(c: &mut Criterion) {
+/// hash-indexed filter column (1% per value): the build-side pushdown
+/// fetches the ~100 matching rows through the index and hashes only
+/// those.
+fn bench_join_pushdown(run: &mut Run) {
     let mut db = Database::new();
     db.create_table(
         TableSchema::builder("lt")
@@ -451,10 +430,9 @@ fn bench_join_pushdown(c: &mut Criterion) {
     let Statement::Select(sel) = parse_statement(sql).expect("parse") else {
         panic!("not a select")
     };
-    let no_pd = PlanOptions::no_build_pushdown();
     let plan = plan_select(&db, &sel).expect("plan");
     assert!(
-        plan.build_pushdown_count() > 0,
+        plan.prefiltered_join_count() > 0,
         "expected a build-side pushdown in the plan, got {}",
         plan.describe()
     );
@@ -464,38 +442,13 @@ fn bench_join_pushdown(c: &mut Criterion) {
         "fixture must exercise the filtered hash build, got {}",
         plan.describe()
     );
-    // Sanity: all three paths agree before we time them.
-    let reference = execute_select_reference(&db, &sel).expect("reference");
-    let unfiltered = execute_select_with(&db, &sel, &no_pd).expect("no-pushdown");
-    let planned = execute(&mut db, sql).expect("planned");
-    assert_eq!(
-        planned.rows().expect("rows"),
-        &reference,
-        "paths disagree on {sql}"
-    );
-    assert_eq!(
-        &unfiltered, &reference,
-        "no-pushdown shape disagrees on {sql}"
-    );
-
-    let mut g = c.benchmark_group("join_pushdown_10k");
-    g.sample_size(40);
-    g.bench_function("before_unfiltered_build", |b| {
-        b.iter(|| execute_select_with(&db, &sel, &no_pd).expect("no-pushdown"))
-    });
-    g.finish();
-    let mut g = c.benchmark_group("join_pushdown_10k");
-    g.sample_size(40);
-    g.bench_function("after_build_pushdown", |b| {
-        b.iter(|| execute(&mut db, sql).expect("planned"))
-    });
-    g.finish();
+    run_planned(run, "join_pushdown_10k", &mut db, sql);
 }
 
 /// A skewed join fixture: `build` has 10k rows with one key holding half
 /// of them (the MCV-visible heavy hitter), `probe` streams 1k rows that
 /// hit the hot key, the tail and misses. Returns the database plus the
-/// query both PR 6 groups time.
+/// query both budgeted-join groups time.
 fn skewed_join_db(hot_every: i64) -> (Database, &'static str) {
     let mut db = Database::new();
     db.create_table(
@@ -537,17 +490,11 @@ fn skewed_join_db(hot_every: i64) -> (Database, &'static str) {
     )
 }
 
-/// Shared body of the PR 6 memory-robustness groups: *before* is the
-/// unbudgeted in-place hash build, *after* the same query planned and
+/// Shared body of the memory-robustness groups: the query planned and
 /// executed under a 256 KiB budget — partitioned build, hot keys (when
-/// the fixture has them) on the always-resident path.
-fn run_budgeted_join(
-    c: &mut Criterion,
-    group: &str,
-    db: &mut Database,
-    sql: &str,
-    expect_hot: bool,
-) {
+/// the fixture has them) on the always-resident path — after checking
+/// it against the unbudgeted in-place build.
+fn run_budgeted_join(run: &mut Run, group: &str, db: &mut Database, sql: &str, expect_hot: bool) {
     let Statement::Select(sel) = parse_statement(sql).expect("parse") else {
         panic!("not a select")
     };
@@ -588,44 +535,34 @@ fn run_budgeted_join(
     let degraded = execute_select_with(db, &sel, &budgeted).expect("budgeted");
     assert_eq!(degraded, full, "degraded path disagrees on {sql}");
 
-    let mut g = c.benchmark_group(group);
-    g.sample_size(40);
-    g.bench_function("before_inplace_build", |b| {
-        b.iter(|| execute_select_with(db, &sel, &unbudgeted).expect("unbudgeted"))
+    time(run, group, || {
+        execute_select_with(db, &sel, &budgeted).expect("budgeted")
     });
-    g.finish();
-    let mut g = c.benchmark_group(group);
-    g.sample_size(40);
-    g.bench_function("after_partitioned_budget", |b| {
-        b.iter(|| execute_select_with(db, &sel, &budgeted).expect("budgeted"))
-    });
-    g.finish();
 }
 
-fn bench_join_skew_hotkey(c: &mut Criterion) {
+fn bench_join_skew_hotkey(run: &mut Run) {
     // Every other build row carries the hot key: the budgeted plan must
     // route it through the resident hot map.
     let (mut db, sql) = skewed_join_db(2);
-    run_budgeted_join(c, "join_skew_hotkey_10k", &mut db, sql, true);
+    run_budgeted_join(run, "join_skew_hotkey_10k", &mut db, sql, true);
 }
 
-fn bench_join_partitioned_budget(c: &mut Criterion) {
+fn bench_join_partitioned_budget(run: &mut Run) {
     // Near-distinct keys (no heavy hitter): the budget alone drives the
     // partitioned build, with no hot-key path in play.
     let (mut db, sql) = skewed_join_db(0);
-    run_budgeted_join(c, "join_partitioned_budget_10k", &mut db, sql, false);
+    run_budgeted_join(run, "join_partitioned_budget_10k", &mut db, sql, false);
 }
 
 /// A 10k-row table where a hash-indexed 13-value `city` column fully
 /// determines a hash-indexed 5-value `country` column. The query probes a
 /// rare city (10 rows) plus its own country (~17% — the 0.1% × 17%
-/// independence product clears the intersection cutoff): the independence
-/// estimator fetches the ~1.7k-row country bucket into the intersection,
-/// where it shrinks nothing — the true joint selectivity equals the
-/// city's marginal. The joint-stats estimator sees the redundancy,
-/// declines the probe, and runs the country conjunct as a residual filter
-/// over the 10 city rows.
-fn bench_correlated_and(c: &mut Criterion) {
+/// independence product clears the intersection cutoff): fetching the
+/// ~1.7k-row country bucket into the intersection would shrink nothing —
+/// the true joint selectivity equals the city's marginal. The joint-stats
+/// estimator sees the redundancy, declines the probe, and runs the
+/// country conjunct as a residual filter over the 10 city rows.
+fn bench_correlated_and(run: &mut Run) {
     let mut db = Database::new();
     db.create_table(
         TableSchema::builder("shop")
@@ -658,57 +595,33 @@ fn bench_correlated_and(c: &mut Criterion) {
     let Statement::Select(sel) = parse_statement(sql).expect("parse") else {
         panic!("not a select")
     };
-    let indep = PlanOptions::independence_only();
-    let corr_plan = plan_select(&db, &sel).expect("plan");
-    let indep_plan = cat_txdb::sql::plan_select_with(&db, &sel, &indep).expect("plan");
+    let plan = plan_select(&db, &sel).expect("plan");
     assert_eq!(
-        corr_plan.access.describe(),
+        plan.access.describe(),
         "index_eq(city)",
         "joint stats must decline the redundant country probe, got {}",
-        corr_plan.describe()
+        plan.describe()
     );
-    assert_eq!(
-        indep_plan.access.describe(),
-        "index_and(city&country)",
-        "independence must mis-price the intersection cutoff, got {}",
-        indep_plan.describe()
-    );
-    // Sanity: all three paths agree before we time them.
     let reference = execute_select_reference(&db, &sel).expect("reference");
-    let independent = execute_select_with(&db, &sel, &indep).expect("independence");
     let planned = execute(&mut db, sql).expect("planned");
     assert_eq!(
         planned.rows().expect("rows"),
         &reference,
         "paths disagree on {sql}"
     );
-    assert_eq!(
-        &independent, &reference,
-        "independence shape disagrees on {sql}"
-    );
 
-    // Both sides run the pre-parsed statement through the same entry
-    // point: the ~3µs query is small enough that re-parsing the SQL
-    // string would otherwise dominate the estimator's effect.
-    let corr = PlanOptions::default();
-    let mut g = c.benchmark_group("correlated_and_10k");
-    g.sample_size(40);
-    g.bench_function("before_independence_estimator", |b| {
-        b.iter(|| execute_select_with(&db, &sel, &indep).expect("independence"))
+    // Run the pre-parsed statement: the ~3µs query is small enough that
+    // re-parsing the SQL string would otherwise dominate.
+    let opts = PlanOptions::default();
+    time(run, "correlated_and_10k", || {
+        execute_select_with(&db, &sel, &opts).expect("correlated")
     });
-    g.finish();
-    let mut g = c.benchmark_group("correlated_and_10k");
-    g.sample_size(40);
-    g.bench_function("after_correlated_estimator", |b| {
-        b.iter(|| execute_select_with(&db, &sel, &corr).expect("correlated"))
-    });
-    g.finish();
 }
 
-fn bench_join3(c: &mut Criterion) {
+fn bench_join3(run: &mut Run) {
     let mut db = awards_db(5_000, 10);
-    run_pr1_vs_pr2(
-        c,
+    run_planned(
+        run,
         "planner_join3_award_5k",
         &mut db,
         "SELECT movie.title, screening.price FROM movie \
@@ -718,7 +631,7 @@ fn bench_join3(c: &mut Criterion) {
     );
 }
 
-fn bench_refine(c: &mut Criterion) {
+fn bench_refine(run: &mut Run) {
     // The cinema corpus at production-ish scale; the policy refines on an
     // indexed local attribute and on a joined attribute.
     let mut db = generate_cinema(&CinemaConfig {
@@ -754,21 +667,10 @@ fn bench_refine(c: &mut Criterion) {
         b.refine_by_walk(&db, &attr, &name).expect("walk");
         assert_eq!(a.rows, b.rows, "refine paths disagree");
     }
-    let mut g = c.benchmark_group("refine_cinema_5k");
-    g.sample_size(40);
-    g.bench_function("before_walk", |b| {
-        b.iter(|| {
-            let mut cs2 = cs.clone();
-            cs2.refine_by_walk(&db, &attr, &name).expect("walk")
-        })
+    time(run, "refine_cinema_5k", || {
+        let mut cs2 = cs.clone();
+        cs2.refine(&db, &attr, &name).expect("refine")
     });
-    g.bench_function("after_indexed", |b| {
-        b.iter(|| {
-            let mut cs2 = cs.clone();
-            cs2.refine(&db, &attr, &name).expect("refine")
-        })
-    });
-    g.finish();
 
     let value = Value::Text("Crime".into());
     let movie_cs = CandidateSet::all(&db, "movie").expect("candidates");
@@ -781,33 +683,25 @@ fn bench_refine(c: &mut Criterion) {
         .is_some();
     if has_genre_col {
         db.table_mut("movie").unwrap().create_index("genre").ok();
-        let mut g = c.benchmark_group("refine_cinema_movie_genre");
-        g.sample_size(40);
-        g.bench_function("before_walk", |b| {
-            b.iter(|| {
-                let mut cs2 = movie_cs.clone();
-                cs2.refine_by_walk(&db, &genre, &value).expect("walk")
-            })
+        let mut a = movie_cs.clone();
+        let mut b = movie_cs.clone();
+        a.refine(&db, &genre, &value).expect("refine");
+        b.refine_by_walk(&db, &genre, &value).expect("walk");
+        assert_eq!(a.rows, b.rows, "refine paths disagree");
+        time(run, "refine_cinema_movie_genre", || {
+            let mut cs2 = movie_cs.clone();
+            cs2.refine(&db, &genre, &value).expect("refine")
         });
-        g.bench_function("after_indexed", |b| {
-            b.iter(|| {
-                let mut cs2 = movie_cs.clone();
-                cs2.refine(&db, &genre, &value).expect("refine")
-            })
-        });
-        g.finish();
     }
 }
 
-/// The PR 8 group: the cost of reading through an MVCC snapshot.
-/// *Before* is the pre-MVCC direct path — a clean table with no version
-/// state, where the executor's byte-identical fast path skips
-/// visibility entirely. *After* runs the same full scan and index probe
+/// Reading through an MVCC snapshot: a full scan and an index probe run
 /// through an explicit snapshot while a concurrent writer holds
 /// uncommitted versions over 1% of the rows, so every row access
 /// resolves visibility (and index fetches re-verify against the visible
-/// version). The visibility tax must stay within the CI 25% gate.
-fn bench_mvcc_visibility(c: &mut Criterion) {
+/// version). The results must match the clean-table reads taken before
+/// the writer started.
+fn bench_mvcc_visibility(run: &mut Run) {
     let mut db = listings(10_000);
     // `bucket >= 0` is not sargable here (the range index is on
     // `price`), so the first query is a genuine full scan; the second
@@ -823,17 +717,6 @@ fn bench_mvcc_visibility(c: &mut Criterion) {
     let opts = PlanOptions::default();
     let scan_clean = execute_select_with(&db, &scan_sel, &opts).expect("scan");
     let probe_clean = execute_select_with(&db, &probe_sel, &opts).expect("probe");
-
-    let mut g = c.benchmark_group("mvcc_visibility_scan_10k");
-    g.sample_size(40);
-    g.bench_function("before_direct", |b| {
-        b.iter(|| {
-            let s = execute_select_with(&db, &scan_sel, &opts).expect("scan");
-            let p = execute_select_with(&db, &probe_sel, &opts).expect("probe");
-            (s, p)
-        })
-    });
-    g.finish();
 
     // Dirty the table: a writer updates every 100th row and stays open
     // across the measurement, so the snapshot path has real version
@@ -865,29 +748,20 @@ fn bench_mvcc_visibility(c: &mut Criterion) {
         probe_clean
     );
 
-    let mut g = c.benchmark_group("mvcc_visibility_scan_10k");
-    g.sample_size(40);
-    g.bench_function("after_snapshot", |b| {
-        b.iter(|| {
-            let s = execute_select_at(&db, &scan_sel, &opts, Some(&snap)).expect("scan");
-            let p = execute_select_at(&db, &probe_sel, &opts, Some(&snap)).expect("probe");
-            (s, p)
-        })
+    time(run, "mvcc_visibility_scan_10k", || {
+        let s = execute_select_at(&db, &scan_sel, &opts, Some(&snap)).expect("scan");
+        let p = execute_select_at(&db, &probe_sel, &opts, Some(&snap)).expect("probe");
+        (s, p)
     });
-    g.finish();
     db.txn_rollback(writer).expect("rollback");
 }
 
-/// The PR 9 scan group: serial execution against the morsel-parallel
-/// `Exchange` leaf on a 10k-row table with no usable index — an
-/// expensive multi-conjunct filter (`LIKE` plus two comparisons) over
-/// rows. Both shapes walk all 10k rows and evaluate the same compiled
-/// conjuncts; the Exchange fans the per-row work out across morsel
-/// workers, so the speedup tracks the machine's hardware threads (≥2x
-/// expected at 4 threads on a ≥4-core machine). On a single-core runner
-/// the group instead records the worker-pool overhead bound — see the
+/// The morsel-parallel `Exchange` leaf at 4 workers on a 10k-row table
+/// with no usable index — an expensive multi-conjunct filter (`LIKE`
+/// plus two comparisons) over every row, fanned out across morsel
+/// workers. Its median tracks the machine's hardware threads — see the
 /// thread-count sensitivity note in BENCHMARKS.md.
-fn bench_parallel_scan(c: &mut Criterion) {
+fn bench_parallel_scan(run: &mut Run) {
     let mut db = Database::new();
     db.create_table(
         TableSchema::builder("doc")
@@ -914,8 +788,8 @@ fn bench_parallel_scan(c: &mut Criterion) {
         .expect("insert");
     }
     // `title LIKE '%-00%'` keeps ~1% of rows; the other conjuncts trim
-    // further. None of the filter columns is indexed, so both shapes
-    // walk all 10k rows.
+    // further. None of the filter columns is indexed, so every shape
+    // walks all 10k rows.
     let sql = "SELECT doc_id, body FROM doc \
                WHERE title LIKE '%-00%' AND cat <> 3 AND doc_id > 100";
     let Statement::Select(sel) = parse_statement(sql).expect("parse") else {
@@ -943,25 +817,15 @@ fn bench_parallel_scan(c: &mut Criterion) {
     assert_eq!(one, reference, "serial disagrees on {sql}");
     assert_eq!(four, one, "parallel disagrees on {sql}");
 
-    let mut g = c.benchmark_group("parallel_scan_10k");
-    g.sample_size(40);
-    g.bench_function("before_1_thread", |b| {
-        b.iter(|| execute_select_with(&db, &sel, &serial).expect("serial"))
+    time(run, "parallel_scan_10k", || {
+        execute_select_with(&db, &sel, &parallel).expect("parallel")
     });
-    g.finish();
-    let mut g = c.benchmark_group("parallel_scan_10k");
-    g.sample_size(40);
-    g.bench_function("after_4_threads", |b| {
-        b.iter(|| execute_select_with(&db, &sel, &parallel).expect("parallel"))
-    });
-    g.finish();
 }
 
-/// The PR 9 build group: the same query at `worker_threads` 1 vs 4 on a
-/// duplicate-heavy 10k-row build side (every key holds ~10 rows), so
-/// the parallel partial maps carry real bucket traffic and the morsel
-/// merge has appends to do on every key.
-fn bench_parallel_build_hash(c: &mut Criterion) {
+/// A 4-worker hash build over a duplicate-heavy 10k-row build side
+/// (every key holds ~10 rows), so the parallel partial maps carry real
+/// bucket traffic and the morsel merge has appends to do on every key.
+fn bench_parallel_build_hash(run: &mut Run) {
     let mut db = Database::new();
     for t in ["probe", "build"] {
         db.create_table(
@@ -1006,30 +870,18 @@ fn bench_parallel_build_hash(c: &mut Criterion) {
     assert_eq!(one, reference, "serial disagrees on {sql}");
     assert_eq!(four, one, "parallel disagrees on {sql}");
 
-    let mut g = c.benchmark_group("parallel_build_hash_10k");
-    g.sample_size(40);
-    g.bench_function("before_1_thread", |b| {
-        b.iter(|| execute_select_with(&db, &sel, &serial).expect("serial"))
+    time(run, "parallel_build_hash_10k", || {
+        execute_select_with(&db, &sel, &parallel).expect("parallel")
     });
-    g.finish();
-    let mut g = c.benchmark_group("parallel_build_hash_10k");
-    g.sample_size(40);
-    g.bench_function("after_4_threads", |b| {
-        b.iter(|| execute_select_with(&db, &sel, &parallel).expect("parallel"))
-    });
-    g.finish();
 }
 
-/// The first mixed read/write throughput group (ROADMAP item): each
-/// iteration races two writer threads — 25 bank-transfer transactions
-/// each under the write lock — against a reader draining 20 parallel
-/// snapshot queries under read locks, `std::thread::scope` joining all
-/// three. *Before* runs the reader serially, *after* with 4 morsel
-/// workers; both sides do the identical transaction volume, so the
-/// delta isolates the reader's execution strategy under write
-/// contention. Transfers conserve the total balance and every read
-/// asserts it, so the group doubles as a liveness + consistency check.
-fn bench_mixed_read_write(c: &mut Criterion) {
+/// Mixed read/write throughput: each iteration races two writer
+/// threads — 25 bank-transfer transactions each under the write lock —
+/// against a reader draining 20 snapshot queries (4 morsel workers)
+/// under read locks, `std::thread::scope` joining all three. Transfers
+/// conserve the total balance and every read asserts it, so the group
+/// doubles as a liveness + consistency check.
+fn bench_mixed_read_write(run: &mut Run) {
     use std::sync::RwLock;
 
     const ACCOUNTS: i64 = 2_000;
@@ -1099,53 +951,35 @@ fn bench_mixed_read_write(c: &mut Criterion) {
         })
     };
 
-    let serial = PlanOptions {
-        worker_threads: 1,
-        ..PlanOptions::default()
-    };
     let parallel = PlanOptions {
         worker_threads: 4,
         ..PlanOptions::default()
     };
-    let mut g = c.benchmark_group("mixed_read_write_2k");
-    g.sample_size(20);
-    g.bench_function("before_serial_reads", |b| b.iter(|| round(&serial)));
-    g.finish();
-    let mut g = c.benchmark_group("mixed_read_write_2k");
-    g.sample_size(20);
-    g.bench_function("after_parallel_reads", |b| b.iter(|| round(&parallel)));
-    g.finish();
+    time(run, "mixed_read_write_2k", || round(&parallel));
 }
 
-/// Durable commit latency over a 2,000-account table: each round
-/// commits 50 single-row update transactions, each an independent
+/// Logged commit latency over a 2,000-account table: each round commits
+/// 50 single-row update transactions, each an independent
 /// `[Begin, Update, Commit]` batch appended to the write-ahead log as
-/// one buffered write. *Before* syncs every commit batch to disk
-/// (`WalOptions::default()`, the durable configuration), *after* leaves
-/// flushing to the OS (`fsync: false`). The pair prices the fsync —
-/// a durability/latency trade the report quantifies rather than a
-/// speedup one would act on.
-fn bench_wal_commit(c: &mut Criterion) {
+/// one buffered write, with flushing left to the OS (`fsync: false`) so
+/// the median prices the engine's logging code rather than the disk.
+fn bench_wal_commit(run: &mut Run) {
     const ACCOUNTS: i64 = 2_000;
-    let base = std::env::temp_dir().join(format!("txdb-bench-wal-{}", std::process::id()));
-    let seed = |name: &str, fsync: bool| -> (Database, Vec<RowId>) {
-        let dir = base.join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut db = Database::open_with(&dir, WalOptions { fsync }).expect("open durable db");
-        db.create_table(
-            TableSchema::builder("account")
-                .column("id", DataType::Int)
-                .column("balance", DataType::Int)
-                .primary_key(&["id"])
-                .build()
-                .expect("schema"),
-        )
-        .expect("create");
-        let rids = (0..ACCOUNTS)
-            .map(|i| db.insert("account", row![i, 100i64]).expect("insert"))
-            .collect();
-        (db, rids)
-    };
+    let dir = std::env::temp_dir().join(format!("txdb-bench-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = Database::open_with(&dir, WalOptions { fsync: false }).expect("open durable db");
+    db.create_table(
+        TableSchema::builder("account")
+            .column("id", DataType::Int)
+            .column("balance", DataType::Int)
+            .primary_key(&["id"])
+            .build()
+            .expect("schema"),
+    )
+    .expect("create");
+    let rids: Vec<RowId> = (0..ACCOUNTS)
+        .map(|i| db.insert("account", row![i, 100i64]).expect("insert"))
+        .collect();
     fn round(db: &mut Database, rids: &[RowId], salt: &mut i64) {
         for k in 0..50i64 {
             let rid = rids[((*salt * 53 + k * 17) % rids.len() as i64) as usize];
@@ -1157,35 +991,21 @@ fn bench_wal_commit(c: &mut Criterion) {
         *salt += 1;
     }
 
-    let (mut db, rids) = seed("fsync", true);
     let mut salt = 1i64;
-    let mut g = c.benchmark_group("wal_commit_2k");
-    g.sample_size(10);
-    g.bench_function("before_fsync_commit", |b| {
-        b.iter(|| round(&mut db, &rids, &mut salt))
-    });
-    g.finish();
+    time(run, "wal_commit_2k", || round(&mut db, &rids, &mut salt));
     assert!(db.wal_appended_records() > 0, "commits never hit the log");
-
-    let (mut db, rids) = seed("nofsync", false);
-    let mut salt = 1i64;
-    let mut g = c.benchmark_group("wal_commit_2k");
-    g.sample_size(10);
-    g.bench_function("after_buffered_commit", |b| {
-        b.iter(|| round(&mut db, &rids, &mut salt))
-    });
-    g.finish();
-    let _ = std::fs::remove_dir_all(&base);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Recovery cost of a 10,000-record write-ahead log: the setup inserts
-/// 10k rows into a durable database and "crashes" (drops without
-/// closing), leaving the whole history in the log; a twin directory
-/// holds the identical state folded into a checkpoint snapshot.
-/// *Before* is `Database::open` replaying the full log; *after* opens
-/// the snapshot with an empty log — the startup-time difference is
-/// exactly what running `CHECKPOINT` buys.
-fn bench_recovery_replay(c: &mut Criterion) {
+/// Recovery cost of a 10,000-row database: the setup inserts 10k rows
+/// into a durable database and "crashes" (drops without closing),
+/// leaving the whole history in the log; a twin directory holds the
+/// identical state folded into a checkpoint snapshot. After checking
+/// that log replay and snapshot load rebuild the same database, the
+/// group times `Database::open` of the checkpointed twin — the startup
+/// path `CHECKPOINT` buys.
+fn bench_recovery_replay(run: &mut Run) {
     const ROWS: i64 = 10_000;
     const NOFSYNC: WalOptions = WalOptions { fsync: false };
     let base = std::env::temp_dir().join(format!("txdb-bench-recovery-{}", std::process::id()));
@@ -1227,90 +1047,61 @@ fn bench_recovery_replay(c: &mut Criterion) {
     );
     drop((replayed, restored));
 
-    let mut g = c.benchmark_group("recovery_replay_10k");
-    g.sample_size(10);
-    g.bench_function("before_replay_log", |b| {
-        b.iter(|| Database::open_with(&log_dir, NOFSYNC).expect("replay"))
+    time(run, "recovery_replay_10k", || {
+        Database::open_with(&snap_dir, NOFSYNC).expect("restore")
     });
-    g.finish();
-    let mut g = c.benchmark_group("recovery_replay_10k");
-    g.sample_size(10);
-    g.bench_function("after_load_snapshot", |b| {
-        b.iter(|| Database::open_with(&snap_dir, NOFSYNC).expect("restore"))
-    });
-    g.finish();
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// Write `BENCH_PR10.json`: one record per benchmark group with the
-/// before/after medians (ns) and the speedup factor. Groups shared with
-/// the committed baselines feed the CI regression gate.
-fn write_report(measurements: &[Measurement]) {
-    let mut pairs: Vec<(String, f64, f64)> = Vec::new();
-    for m in measurements {
-        let Some((group, which)) = m.id.rsplit_once('/') else {
-            continue;
-        };
-        if let Some(entry) = pairs.iter_mut().find(|(g, _, _)| g == group) {
-            match which {
-                w if w.starts_with("before") => entry.1 = m.median_ns,
-                _ => entry.2 = m.median_ns,
-            }
-        } else {
-            let (before, after) = if which.starts_with("before") {
-                (m.median_ns, 0.0)
-            } else {
-                (0.0, m.median_ns)
-            };
-            pairs.push((group.to_string(), before, after));
-        }
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json");
-    let mut f = std::fs::File::create(path).expect("create BENCH_PR10.json");
+/// Write `BENCH_PR14.json`: the median of every calibration sample at
+/// the top level and one median (ns) per group — the group's median
+/// calibrated ratio scaled by that calibration median, i.e. its time at
+/// the run's typical machine speed. `bench_compare` divides each group
+/// median by the calibration median before gating, which recovers the
+/// calibrated ratio.
+fn write_report(mut run: Run) {
+    let calibration = median(&mut run.calibration_ns);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR14.json");
+    let mut f = std::fs::File::create(path).expect("create BENCH_PR14.json");
     writeln!(
         f,
-        "{{\n  \"pr\": 10,\n  \"bench\": \"planner\",\n  \"unit\": \"ns\",\n  \"results\": ["
+        "{{\n  \"pr\": 14,\n  \"bench\": \"planner\",\n  \"unit\": \"ns\",\n  \
+         \"calibration_median_ns\": {calibration:.1},\n  \"results\": ["
     )
     .unwrap();
-    for (i, (group, before, after)) in pairs.iter().enumerate() {
-        let speedup = if *after > 0.0 { before / after } else { 0.0 };
+    for (i, (group, ratio)) in run.groups.iter().enumerate() {
         writeln!(
             f,
-            "    {{\"name\": \"{group}\", \"before_median_ns\": {before:.1}, \
-             \"after_median_ns\": {after:.1}, \"speedup\": {speedup:.2}}}{}",
-            if i + 1 < pairs.len() { "," } else { "" }
+            "    {{\"name\": \"{group}\", \"median_ns\": {:.1}}}{}",
+            ratio * calibration,
+            if i + 1 < run.groups.len() { "," } else { "" }
         )
         .unwrap();
     }
     writeln!(f, "  ]\n}}").unwrap();
-    println!("\nwrote {path}");
-    for (group, before, after) in &pairs {
-        if *after > 0.0 {
-            println!("  {group}: {:.1}x speedup", before / after);
-        }
-    }
+    println!("\nwrote {path} (calibration median {calibration:.0} ns)");
 }
 
 fn main() {
-    let mut c = Criterion::default();
-    bench_point_lookup(&mut c);
-    bench_selective_eq(&mut c);
-    bench_range_scan(&mut c);
-    bench_top_k(&mut c);
-    bench_multi_index_and(&mut c);
-    bench_correlated_and(&mut c);
-    bench_join3(&mut c);
-    bench_join_unindexed_hash(&mut c);
-    bench_join_merge_range(&mut c);
-    bench_join_pushdown(&mut c);
-    bench_join_skew_hotkey(&mut c);
-    bench_join_partitioned_budget(&mut c);
-    bench_mvcc_visibility(&mut c);
-    bench_parallel_scan(&mut c);
-    bench_parallel_build_hash(&mut c);
-    bench_mixed_read_write(&mut c);
-    bench_wal_commit(&mut c);
-    bench_recovery_replay(&mut c);
-    bench_refine(&mut c);
-    write_report(c.measurements());
+    let mut run = Run::default();
+    bench_point_lookup(&mut run);
+    bench_selective_eq(&mut run);
+    bench_range_scan(&mut run);
+    bench_top_k(&mut run);
+    bench_multi_index_and(&mut run);
+    bench_correlated_and(&mut run);
+    bench_join3(&mut run);
+    bench_join_unindexed_hash(&mut run);
+    bench_join_merge_range(&mut run);
+    bench_join_pushdown(&mut run);
+    bench_join_skew_hotkey(&mut run);
+    bench_join_partitioned_budget(&mut run);
+    bench_mvcc_visibility(&mut run);
+    bench_parallel_scan(&mut run);
+    bench_parallel_build_hash(&mut run);
+    bench_mixed_read_write(&mut run);
+    bench_wal_commit(&mut run);
+    bench_recovery_replay(&mut run);
+    bench_refine(&mut run);
+    write_report(run);
 }

@@ -386,4 +386,76 @@ mod tests {
         assert_eq!(opts.len(), 2);
         assert!(cs.render_options(&db, "bogus", 2).is_err());
     }
+
+    /// A seeded random `customer(customer_id, name, city)` table with
+    /// few distinct names and cities, hash-indexed on `name` for half the
+    /// seeds so both refinement paths run.
+    fn random_customers(seed: u64) -> cat_txdb::Database {
+        use cat_txdb::{DataType, Row, TableSchema};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut db = cat_txdb::Database::new();
+        db.create_table(
+            TableSchema::builder("customer")
+                .column("customer_id", DataType::Int)
+                .column("name", DataType::Text)
+                .column("city", DataType::Text)
+                .primary_key(&["customer_id"])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        if rng.random_bool(0.5) {
+            db.table_mut("customer")
+                .unwrap()
+                .create_index("name")
+                .unwrap();
+        }
+        for i in 0..rng.random_range(1..60i64) {
+            let name = format!("name{}", rng.random_range(0..6u8));
+            let city = format!("city{}", rng.random_range(0..4u8));
+            db.insert(
+                "customer",
+                Row::new(vec![Value::Int(i), name.into(), city.into()]),
+            )
+            .unwrap();
+        }
+        db
+    }
+
+    /// Refinement keeps exactly the rows whose attribute equals the
+    /// probe value, in order.
+    #[test]
+    fn refine_keeps_exactly_matching_rows() {
+        for seed in 0..64u64 {
+            let db = random_customers(0x5E1 + seed);
+            let mut cs = CandidateSet::all(&db, "customer").unwrap();
+            let before = cs.rows.clone();
+            let value = Value::Text(format!("name{}", seed % 7));
+            cs.refine(&db, &Attribute::local("customer", "name"), &value)
+                .unwrap();
+            let t = db.table("customer").unwrap();
+            let expected: Vec<RowId> = before
+                .into_iter()
+                .filter(|&rid| t.value_of(rid, "name").unwrap() == value)
+                .collect();
+            assert_eq!(cs.rows, expected, "seed {seed}");
+        }
+    }
+
+    /// Refining twice on the same (attribute, value) changes nothing.
+    #[test]
+    fn refine_is_idempotent() {
+        for seed in 0..64u64 {
+            let db = random_customers(0x1DE + seed);
+            let mut cs = CandidateSet::all(&db, "customer").unwrap();
+            let city = Attribute::local("customer", "city");
+            let value = Value::Text(format!("city{}", seed % 4));
+            cs.refine(&db, &city, &value).unwrap();
+            let once = cs.rows.clone();
+            cs.refine(&db, &city, &value).unwrap();
+            assert_eq!(cs.rows, once, "seed {seed}");
+        }
+    }
 }

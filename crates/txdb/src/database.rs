@@ -22,6 +22,8 @@ use crate::wal::{self, ChangeRecord, Wal, WalOptions, AUTOCOMMIT_TXN};
 pub const WAL_FILE: &str = "wal.log";
 /// File name of the binary snapshot inside a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
+/// File name of the lock an open database holds on its data directory.
+pub const LOCK_FILE: &str = "LOCK";
 
 /// Number of mutations (version bumps) cached statistics may lag behind
 /// the live table before [`Database::with_stats`] recomputes them.
@@ -72,6 +74,9 @@ pub struct Database {
     wal: Option<Wal>,
     /// Directory holding [`WAL_FILE`] and [`SNAPSHOT_FILE`].
     data_dir: Option<PathBuf>,
+    /// Exclusive lock on [`LOCK_FILE`], held while the database lives so
+    /// no second handle opens the same directory.
+    lock: Option<std::fs::File>,
 }
 
 impl Clone for Database {
@@ -87,6 +92,7 @@ impl Clone for Database {
             // none. Open a second data directory for a durable copy.
             wal: None,
             data_dir: None,
+            lock: None,
         }
     }
 }
@@ -108,6 +114,10 @@ impl Database {
     /// without a `Commit` record). Row ids, index structure, version
     /// counters and the transaction-id watermark all come back exactly
     /// as they were at the last committed state.
+    ///
+    /// The directory stays locked until the database is dropped; opening
+    /// it again meanwhile fails with [`TxdbError::DirectoryLocked`]
+    /// before anything is read or written.
     pub fn open(path: impl AsRef<Path>) -> Result<Database> {
         Database::open_with(path, WalOptions::default())
     }
@@ -116,6 +126,21 @@ impl Database {
     pub fn open_with(path: impl AsRef<Path>, options: WalOptions) -> Result<Database> {
         let dir = path.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(|e| TxdbError::io("create data directory", &e))?;
+        let lock = std::fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join(LOCK_FILE))
+            .map_err(|e| TxdbError::io("open lock file", &e))?;
+        match lock.try_lock() {
+            Ok(()) => {}
+            Err(std::fs::TryLockError::WouldBlock) => {
+                return Err(TxdbError::DirectoryLocked(dir.display().to_string()))
+            }
+            Err(std::fs::TryLockError::Error(e)) => {
+                return Err(TxdbError::io("lock data directory", &e))
+            }
+        }
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         let wal_path = dir.join(WAL_FILE);
         let (mut db, snap_gen) = if snapshot_path.exists() {
@@ -153,6 +178,7 @@ impl Database {
         };
         db.wal = Some(wal);
         db.data_dir = Some(dir);
+        db.lock = Some(lock);
         Ok(db)
     }
 
@@ -1413,5 +1439,35 @@ mod tests {
             db.call("nope", &[]).unwrap_err(),
             TxdbError::UnknownProcedure(_)
         ));
+    }
+
+    #[test]
+    fn data_directory_admits_one_open_database() {
+        let dir = std::env::temp_dir()
+            .join("txdb-lock-test")
+            .join(std::process::id().to_string());
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = WalOptions { fsync: false };
+        let mut first = Database::open_with(&dir, opts).unwrap();
+        first
+            .create_table(
+                TableSchema::builder("t")
+                    .column("id", DataType::Int)
+                    .primary_key(&["id"])
+                    .build()
+                    .unwrap(),
+            )
+            .unwrap();
+        first.insert("t", row![1]).unwrap();
+        let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        let len_before = wal_len();
+        let err = Database::open_with(&dir, opts).unwrap_err();
+        assert!(matches!(err, TxdbError::DirectoryLocked(_)), "got {err:?}");
+        assert_eq!(wal_len(), len_before, "a refused open touched the log");
+        drop(first);
+        let reopened = Database::open_with(&dir, opts).unwrap();
+        assert_eq!(reopened.table("t").unwrap().len(), 1);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

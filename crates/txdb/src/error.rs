@@ -85,6 +85,9 @@ pub enum TxdbError {
         /// How many transactions were active.
         count: usize,
     },
+    /// Another open database holds the data directory's lock: two
+    /// handles appending to one log would interleave their batches.
+    DirectoryLocked(String),
 }
 
 impl TxdbError {
@@ -164,6 +167,9 @@ impl fmt::Display for TxdbError {
                     "cannot {operation} with {count} active transaction(s): \
                      commit or roll back first"
                 )
+            }
+            TxdbError::DirectoryLocked(dir) => {
+                write!(f, "data directory `{dir}` is already open")
             }
         }
     }

@@ -1311,8 +1311,8 @@ mod tests {
         }
     }
 
-    /// Assert planned (default options), the PR 3 no-pushdown shape, the
-    /// PR 2 per-key shape, the tight-budget shape (degradation paths
+    /// Assert planned (default options), the tight-budget shape
+    /// (degradation paths live), the parallel shape (morsel operators
     /// live) and the reference executor all agree on `q` — including row
     /// order.
     fn assert_all_paths_agree(db: &Database, q: &str) -> ResultSet {
@@ -1320,21 +1320,14 @@ mod tests {
             unreachable!()
         };
         let planned = execute_select(db, &sel).unwrap();
-        let no_pd = execute_select_with(
-            db,
-            &sel,
-            &crate::sql::plan::PlanOptions::no_build_pushdown(),
-        )
-        .unwrap();
-        let per_key =
-            execute_select_with(db, &sel, &crate::sql::plan::PlanOptions::per_key_joins()).unwrap();
         let tight =
             execute_select_with(db, &sel, &crate::sql::plan::PlanOptions::tight_budget()).unwrap();
+        let parallel =
+            execute_select_with(db, &sel, &crate::sql::plan::PlanOptions::parallel()).unwrap();
         let reference = execute_select_reference(db, &sel).unwrap();
         assert_eq!(planned, reference, "planned vs reference: {q}");
-        assert_eq!(no_pd, reference, "no-pushdown shape vs reference: {q}");
-        assert_eq!(per_key, reference, "per-key fallback vs reference: {q}");
         assert_eq!(tight, reference, "tight-budget shape vs reference: {q}");
+        assert_eq!(parallel, reference, "parallel shape vs reference: {q}");
         planned
     }
 
@@ -1344,7 +1337,7 @@ mod tests {
         let Statement::Select(sel) = parse_statement(q).unwrap() else {
             unreachable!()
         };
-        plan_select(db, &sel).unwrap().build_pushdown_count()
+        plan_select(db, &sel).unwrap().prefiltered_join_count()
     }
 
     /// The planner's strategy for each join of `q`, for pinning which
@@ -1591,7 +1584,7 @@ mod tests {
             unreachable!()
         };
         let p = plan_select(&db, &sel).unwrap();
-        assert_eq!(p.build_pushdown_count(), 1);
+        assert_eq!(p.prefiltered_join_count(), 1);
         assert_eq!(
             p.staged_count(),
             0,
@@ -1637,7 +1630,7 @@ mod tests {
         let p = plan_select(&db, &sel).unwrap();
         assert!(p.joins_reordered(), "fixture must trigger a reorder");
         assert_eq!(
-            p.build_pushdown_count(),
+            p.prefiltered_join_count(),
             1,
             "fixture must exercise the pushdown, got {}",
             p.describe()
@@ -1739,7 +1732,7 @@ mod tests {
         };
         let p = plan_select(&db, &sel).unwrap();
         assert_eq!(p.join_order[0].strategy, JoinStrategy::IndexProbe);
-        assert_eq!(p.build_pushdown_count(), 1, "{}", p.describe());
+        assert_eq!(p.prefiltered_join_count(), 1, "{}", p.describe());
         assert_eq!(
             p.staged_count(),
             0,

@@ -538,7 +538,7 @@ impl<'a> IndexProbeJoin<'a> {
     }
 
     fn estimate(&self) -> Option<f64> {
-        self.core.pj.estimated_rows
+        Some(self.core.pj.estimated_rows)
     }
 }
 
@@ -739,7 +739,7 @@ impl<'a> BuildHashJoin<'a> {
     }
 
     fn estimate(&self) -> Option<f64> {
-        self.core.pj.estimated_rows
+        Some(self.core.pj.estimated_rows)
     }
 }
 
@@ -843,7 +843,7 @@ impl<'a> MergeRangeJoin<'a> {
     }
 
     fn estimate(&self) -> Option<f64> {
-        self.core.pj.estimated_rows
+        Some(self.core.pj.estimated_rows)
     }
 }
 

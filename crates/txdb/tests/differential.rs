@@ -2,10 +2,9 @@
 //! results through the planned executor (multi-index AND, join
 //! reordering, staged predicate pushdown, bounded top-k, tuple
 //! streaming) and the naive materialize-everything reference executor.
-//! Each query additionally runs under the PR 1 planner shape
-//! (`PlanOptions::single_access_path()`: one access path, FROM-order
-//! joins, no staging), so every optimizer generation is pinned to the
-//! same semantics.
+//! Each query additionally runs under the tight-budget, snapshot,
+//! parallel and durable shapes (see [`SHAPES`]), so every execution
+//! mode is pinned to the same semantics.
 //!
 //! The generator is seeded and exhaustive-ish: random schemas get random
 //! hash/range indexes, random data includes NULLs, duplicates and
@@ -18,19 +17,16 @@
 //! cross-type Int = Float key, so every join strategy of the execution
 //! layer (index probe, build-side hash, merge over ordered indexes) is
 //! exercised and tallied. Join-side single-table conjuncts over randomly
-//! indexed columns make the build-side pushdown fire (tallied too), and
-//! every query additionally runs under the PR 3 no-build-pushdown shape
-//! and the PR 4 independence-estimator shape
-//! (`PlanOptions::independence_only()`) so each frozen generation is
-//! pinned against the current one. `screening.country` is fully
+//! indexed columns make the build-side pushdown fire (tallied too).
+//! `screening.country` is fully
 //! determined by `screening.city` — a correlated, randomly indexed
 //! column pair the joint-statistics estimator must price (and whose
 //! redundant intersection probes it must decline) without changing
 //! results. An estimator-accuracy harness additionally tallies the
 //! q-error of estimated base-table cardinality against actual result
 //! sizes on the join-free queries, and a dedicated correlated fixture
-//! asserts the joint-stats/backoff estimator strictly beats the frozen
-//! independence product. The implementations share the parser, the
+//! asserts the joint-stats/backoff estimator prices it nearly exactly.
+//! The implementations share the parser, the
 //! value model and the join-key exclusion rule
 //! (`Value::is_excluded_join_key` — NULL/NaN never join; its behavior
 //! itself is pinned by hand-written unit tests in `exec.rs`), but not
@@ -617,28 +613,14 @@ fn random_select(rng: &mut StdRng) -> String {
 }
 
 /// The planner shapes the suite compares against the reference
-/// executor, by matrix name: the full planner plus every frozen
-/// generation. `TXDB_DIFF_SHAPE` (the CI matrix variable) restricts one
+/// executor, by matrix name: the default planner and its execution
+/// modes. `TXDB_DIFF_SHAPE` (the CI matrix variable) restricts one
 /// run to a single named shape.
-const SHAPES: &[&str] = &[
-    "default",
-    "single_access_path",
-    "per_key_joins",
-    "no_build_pushdown",
-    "independence_only",
-    "tight_budget",
-    "snapshot",
-    "parallel",
-    "durable",
-];
+const SHAPES: &[&str] = &["default", "tight_budget", "snapshot", "parallel", "durable"];
 
 fn shape_options(name: &str) -> PlanOptions {
     match name {
         "default" => PlanOptions::default(),
-        "single_access_path" => PlanOptions::single_access_path(),
-        "per_key_joins" => PlanOptions::per_key_joins(),
-        "no_build_pushdown" => PlanOptions::no_build_pushdown(),
-        "independence_only" => PlanOptions::independence_only(),
         "tight_budget" => PlanOptions::tight_budget(),
         // The PR 8 snapshot shape runs the default planner through an
         // explicit MVCC snapshot (special-cased at the call site).
@@ -733,14 +715,12 @@ fn durable_twin(db: &Database, tag: u64) -> (Database, std::path::PathBuf) {
 }
 
 /// Run `sql` through the reference executor and every planner shape
-/// under test — the full planner, the PR 1 single-access-path shape,
-/// the PR 2 per-key-join shape, the PR 3 no-build-pushdown shape, the
-/// PR 4 independence-estimator shape, the PR 6 tight-budget shape
-/// (degraded, partition-where-needed execution), the PR 8 snapshot
-/// shape, the PR 9 parallel shape (4 morsel workers) and — when a twin
-/// is supplied — the PR 10 durable shape (the same query against a
-/// database recovered from its write-ahead log); all must agree
-/// (results and error-ness) — estimator changes, memory degradation,
+/// under test — the default planner, the tight-budget shape (degraded,
+/// partition-where-needed execution), the snapshot shape, the parallel
+/// shape (4 morsel workers) and — when a twin is supplied — the durable
+/// shape (the same query against a database recovered from its
+/// write-ahead log); all must agree (results and error-ness) — memory
+/// degradation,
 /// intra-query parallelism and a trip through the log may flip plans,
 /// never results.
 fn check_all_paths_agree(
@@ -818,17 +798,20 @@ fn q_error(estimated: f64, actual: usize) -> f64 {
 /// Estimated base-table cardinality vs. actual result size for a
 /// join-free, non-aggregate, unlimited SELECT — the shape where the
 /// result *is* the filtered base table. Returns the (estimate, actual)
-/// q-error pair under the given planner options, or `None` when the
-/// query does not qualify or errors.
-fn base_card_q_error(db: &mut Database, sql: &str, opts: &PlanOptions) -> Option<f64> {
+/// q-error under the default planner, or `None` when the query does not
+/// qualify or errors.
+fn base_card_q_error(db: &mut Database, sql: &str) -> Option<f64> {
     let Statement::Select(sel) = parse_statement(sql).ok()? else {
         return None;
     };
     if !sel.joins.is_empty() || sel.limit.is_some() || sel.projection.has_aggregates() {
         return None;
     }
-    let plan = cat_txdb::sql::plan_select_with(db, &sel, opts).ok()?;
-    let actual = execute_select_with(db, &sel, opts).ok()?.rows.len();
+    let plan = plan_select(db, &sel).ok()?;
+    let actual = execute_select_with(db, &sel, &PlanOptions::default())
+        .ok()?
+        .rows
+        .len();
     Some(q_error(plan.estimated_base_rows, actual))
 }
 
@@ -879,7 +862,7 @@ fn planned_and_reference_executors_agree_on_generated_queries() {
                             JoinStrategy::MergeRange => merges += 1,
                         }
                     }
-                    pushdowns += plan.build_pushdown_count();
+                    pushdowns += plan.prefiltered_join_count();
                 }
                 if let Ok(plan) =
                     cat_txdb::sql::plan_select_with(&db, &sel, &PlanOptions::tight_budget())
@@ -892,7 +875,7 @@ fn planned_and_reference_executors_agree_on_generated_queries() {
                     parallel_ops += plan.parallel_count();
                 }
             }
-            if let Some(q) = base_card_q_error(&mut db, &sql, &PlanOptions::default()) {
+            if let Some(q) = base_card_q_error(&mut db, &sql) {
                 q_log_sum += q.ln();
                 q_count += 1;
                 q_worst = q_worst.max(q);
@@ -959,13 +942,11 @@ fn planned_and_reference_executors_agree_on_generated_queries() {
 }
 
 /// On the correlated city ↔ country fixture, the joint-stats/backoff
-/// estimator's base-cardinality q-error must be strictly better than the
-/// frozen PR 4 independence product — the acceptance bar of the
-/// correlation tentpole. Covers matched pairs (joint frequency ≫
-/// product), contradictory pairs (joint ≈ 0 ≪ product) and the NULL-city
-/// rows (fill-rate scaling).
+/// estimator's base-cardinality q-error must stay near exact. Covers
+/// matched pairs (joint frequency ≫ product), contradictory pairs (joint
+/// ≈ 0 ≪ product) and the NULL-city rows (fill-rate scaling).
 #[test]
-fn correlated_fixture_q_error_beats_independence() {
+fn correlated_fixture_q_error_is_near_exact() {
     let mut rng = StdRng::seed_from_u64(0xC0FF);
     let mut db = random_db(&mut rng);
     // Deterministic bulk rows so the screening table is large enough for
@@ -984,32 +965,20 @@ fn correlated_fixture_q_error_beats_independence() {
         t.create_index("city").ok();
         t.create_index("country").ok();
     }
-    let (mut corr_log, mut indep_log, mut n) = (0.0f64, 0.0f64, 0usize);
+    let (mut corr_log, mut n) = (0.0f64, 0usize);
     for city in CITIES {
         for country in COUNTRIES {
             let sql = format!(
                 "SELECT screening_id FROM screening \
                  WHERE city = '{city}' AND country = '{country}'"
             );
-            let corr = base_card_q_error(&mut db, &sql, &PlanOptions::default())
-                .expect("join-free query must qualify");
-            let indep = base_card_q_error(&mut db, &sql, &PlanOptions::independence_only())
-                .expect("join-free query must qualify");
+            let corr = base_card_q_error(&mut db, &sql).expect("join-free query must qualify");
             corr_log += corr.ln();
-            indep_log += indep.ln();
             n += 1;
         }
     }
-    let (corr_geo, indep_geo) = ((corr_log / n as f64).exp(), (indep_log / n as f64).exp());
-    println!(
-        "correlated fixture over {n} queries: geo-mean q-error {corr_geo:.2} \
-         (joint stats/backoff) vs {indep_geo:.2} (independence)"
-    );
-    assert!(
-        corr_geo < indep_geo,
-        "correlation-aware estimator must strictly beat independence: \
-         {corr_geo:.3} vs {indep_geo:.3}"
-    );
+    let corr_geo = (corr_log / n as f64).exp();
+    println!("correlated fixture over {n} queries: geo-mean q-error {corr_geo:.2}");
     // The matched pairs are priced (nearly) exactly from the joint MCVs.
     assert!(
         corr_geo < 1.5,

@@ -358,6 +358,8 @@ fn torn_log_recovers_last_committed_prefix_at_every_boundary() {
         );
         // Recovery truncated the torn tail: the next open must replay
         // identically even though we do not restore the pristine bytes.
+        // (Close the first handle: the directory admits one at a time.)
+        drop(reopened);
         let again = open_fast(&dir);
         assert_eq!(
             &observed_state(&again),

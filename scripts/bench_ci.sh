@@ -1,53 +1,35 @@
 #!/usr/bin/env bash
-# CI bench harness: run the planner bench suite and apply the 25%
-# regression gates against the committed baselines.
+# CI bench harness: run the planner bench suite and gate the fresh
+# calibrated medians against the committed BENCH_PR14.json.
 #
-# Usage: scripts/bench_ci.sh <prev_pr> <cur_pr>
-#   e.g. scripts/bench_ci.sh 6 7
+# Usage: scripts/bench_ci.sh
 #
-# The bench run rewrites BENCH_PR<cur_pr>.json in place, so the committed
-# copy (the authoritative baseline) is stashed first and both gates run
-# against the fresh numbers:
-#   1. continuity: the previous PR's committed baseline vs the fresh run
-#      — every gated group must survive the current changes within the
-#      gate;
-#   2. self: the stashed committed baseline vs the fresh run — the
-#      committed numbers must be reproducible on the CI machine.
+# The bench run rewrites BENCH_PR14.json in place, so the committed copy
+# (the authoritative baseline) is stashed first and the fresh numbers are
+# gated against it: the committed numbers must be reproducible on the CI
+# machine, within 25% per group after calibration. This is the only gate
+# for now: BENCH_PR10.json predates the calibration record, so there is
+# no earlier calibrated baseline to hold a continuity gate against.
 
 set -euo pipefail
 
-prev_pr=${1:?usage: bench_ci.sh <prev_pr> <cur_pr>}
-cur_pr=${2:?usage: bench_ci.sh <prev_pr> <cur_pr>}
-prev="BENCH_PR${prev_pr}.json"
-cur="BENCH_PR${cur_pr}.json"
+cur="BENCH_PR14.json"
 stash=$(mktemp -t bench_baseline_XXXXXX.json)
+gate=$(mktemp -t bench_compare_XXXXXX)
 
-# The gated shared groups — --require keeps renamed or added benchmarks
-# from silently dropping out of the gated set.
+# The gated groups. Each must be in both reports, so a renamed or
+# dropped benchmark cannot silently leave the comparison; the other
+# groups are reported but not gated. Only groups whose calibrated median
+# varied by less than 8% across repeated runs are required — BENCHMARKS.md
+# lists the excluded ones with their measured spread.
 require=(
-  --require correlated_and_10k
-  --require join_pushdown_10k
   --require join_unindexed_hash_10k
-  --require join_merge_range_10k
-  --require planner_join3_award_5k
-  --require join_skew_hotkey_10k
   --require join_partitioned_budget_10k
   --require mvcc_visibility_scan_10k
-  --require parallel_scan_10k
-  --require parallel_build_hash_10k
-  --require mixed_read_write_2k
-)
-# Groups new in the current PR have no entry in the previous baseline,
-# so they are gated only on the self comparison below.
-require_self=(
-  "${require[@]}"
-  --require wal_commit_2k
-  --require recovery_replay_10k
 )
 
 cp "$cur" "$stash"
 cargo bench -p cat-bench --bench planner
 
-rustc --edition 2021 -O scripts/bench_compare.rs -o /tmp/bench_compare
-/tmp/bench_compare "${require[@]}" "$prev" "$cur"
-/tmp/bench_compare "${require_self[@]}" "$stash" "$cur"
+rustc --edition 2021 -O scripts/bench_compare.rs -o "$gate"
+"$gate" "${require[@]}" "$stash" "$cur"

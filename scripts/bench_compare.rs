@@ -5,57 +5,70 @@
 //!
 //! ```sh
 //! rustc --edition 2021 -O scripts/bench_compare.rs -o /tmp/bench_compare
-//! /tmp/bench_compare BENCH_PR1.json BENCH_PR2.json
+//! /tmp/bench_compare BENCH_PR14.json fresh.json
+//! # its own unit tests:
+//! rustc --edition 2021 --test scripts/bench_compare.rs -o /tmp/bench_compare_test
+//! /tmp/bench_compare_test
 //! ```
 //!
-//! Raw medians are not comparable across machines (the committed baseline
-//! was produced on a developer box, the candidate on a CI runner), so the
-//! gate compares the *machine-normalized* median of each benchmark group:
-//! `after_median_ns / before_median_ns` — the planned path's median
-//! relative to the naive/previous-generation baseline measured *in the
-//! same run on the same machine*. A group regresses when its normalized
-//! median grows by more than the threshold (default 25%) over the
-//! baseline file's normalized median. Groups present in only one file are
-//! reported but not gated; zero shared groups is itself a failure (a
-//! rename must update the baseline deliberately, not silently disable
-//! the gate).
+//! Raw medians are not comparable across machines (the committed
+//! baseline comes from a developer box, the candidate from a CI runner),
+//! so every report carries `calibration_median_ns`: the median of a
+//! fixed std-only kernel timed in the same run (see
+//! `crates/bench/benches/planner.rs`). The gate compares each group's
+//! *calibrated* median, `median_ns / calibration_median_ns`, and a group
+//! regresses when that grows by more than the threshold (default 25%)
+//! over the baseline's. The kernel uses no repository code, so a
+//! slowdown in shared code such as `Table::scan` moves the group medians
+//! and not the calibration — the gate sees it. A report without a
+//! calibration record fails the gate.
 //!
-//! Known blind spot of the normalized metric: a change that slows (or
-//! speeds up) the *before* reference path shifts the denominator and can
-//! mask — or falsely flag — a change in the planned path. PRs that touch
-//! the reference executor should re-baseline (commit a fresh
-//! `BENCH_PR<n>.json` from the same machine as the previous one, or run
-//! with `--absolute` locally) rather than trust the ratio alone.
-//!
-//! Pass `--max-regression-pct <n>` to change the threshold, `--absolute`
-//! to additionally gate the raw `after_median_ns` (only meaningful when
-//! both files come from the same machine), and `--require <group>`
-//! (repeatable) to fail unless the named group is actually part of the
-//! gated shared set — so a renamed or newly added benchmark cannot
-//! silently drop out of the comparison as "reported but not gated".
+//! Groups present in only one file are reported but not gated; zero
+//! shared groups is itself a failure (a rename must update the baseline
+//! deliberately, not silently disable the gate). Pass
+//! `--max-regression-pct <n>` to change the threshold. `--require
+//! <group>` (repeatable) names the gated groups: each must be in both
+//! reports — so a renamed or dropped benchmark cannot silently leave the
+//! comparison — and once any is named, the other shared groups are
+//! reported but not gated, which keeps groups too noisy for the
+//! threshold out of the verdict.
 
 use std::process::ExitCode;
 
-/// One benchmark record: (name, before_median_ns, after_median_ns).
-type Record = (String, f64, f64);
+/// One parsed bench report.
+#[derive(Debug, PartialEq)]
+struct Report {
+    calibration_ns: f64,
+    /// (group name, median ns), in file order.
+    groups: Vec<(String, f64)>,
+}
 
-/// Extract the `results` records from the bench JSON. The writer emits
-/// one object per line with a fixed key order, so a tolerant scan for the
-/// three known keys is enough — no JSON dependency needed.
-fn parse_records(text: &str, path: &str) -> Vec<Record> {
-    let mut out = Vec::new();
+/// Parse a bench report. The writer emits the calibration and each
+/// result on its own line with fixed keys, so a tolerant line scan is
+/// enough — no JSON dependency needed.
+fn parse_report(text: &str) -> Result<Report, String> {
+    let calibration_ns = text
+        .lines()
+        .find_map(|line| field_num(line, "\"calibration_median_ns\""))
+        .filter(|ns| *ns > 0.0)
+        .ok_or("no calibration_median_ns record")?;
+    let mut groups = Vec::new();
     for line in text.lines() {
         let Some(name) = field_str(line, "\"name\"") else {
             continue;
         };
-        let before = field_num(line, "\"before_median_ns\"");
-        let after = field_num(line, "\"after_median_ns\"");
-        match (before, after) {
-            (Some(b), Some(a)) => out.push((name, b, a)),
-            _ => eprintln!("warning: {path}: malformed result line skipped: {line}"),
+        match field_num(line, "\"median_ns\"") {
+            Some(ns) => groups.push((name, ns)),
+            None => return Err(format!("malformed result line: {line}")),
         }
     }
-    out
+    if groups.is_empty() {
+        return Err("no benchmark records found".to_string());
+    }
+    Ok(Report {
+        calibration_ns,
+        groups,
+    })
 }
 
 fn field_str(line: &str, key: &str) -> Option<String> {
@@ -74,21 +87,93 @@ fn field_num(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-fn load(path: &str) -> Result<Vec<Record>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let records = parse_records(&text, path);
-    if records.is_empty() {
-        return Err(format!("{path}: no benchmark records found"));
+impl Report {
+    /// The calibrated median of `name`, if the report has the group.
+    fn calibrated(&self, name: &str) -> Option<f64> {
+        let (_, ns) = self.groups.iter().find(|(n, _)| n == name)?;
+        Some(ns / self.calibration_ns)
     }
-    Ok(records)
+}
+
+/// The gate's verdict: one table row per group, plus the failures.
+struct Verdict {
+    rows: Vec<String>,
+    failures: Vec<String>,
+}
+
+fn compare(
+    baseline: &Report,
+    candidate: &Report,
+    max_regression_pct: f64,
+    required: &[String],
+) -> Verdict {
+    let allowed = 1.0 + max_regression_pct / 100.0;
+    let mut rows = Vec::new();
+    let mut failures = Vec::new();
+    let mut shared = 0usize;
+    for (name, _) in &baseline.groups {
+        let base = baseline.calibrated(name).expect("baseline group");
+        let Some(cand) = candidate.calibrated(name) else {
+            rows.push(format!(
+                "{name:<32} {base:>12.6} {:>12} {:>9}  baseline-only (not gated)",
+                "-", "-"
+            ));
+            continue;
+        };
+        shared += 1;
+        let ratio = cand / base;
+        let gated = required.is_empty() || required.contains(name);
+        let regressed = gated && ratio > allowed;
+        let verdict = match (gated, regressed) {
+            (false, _) => "not required (not gated)",
+            (true, true) => "REGRESSED",
+            (true, false) => "ok",
+        };
+        rows.push(format!(
+            "{name:<32} {base:>12.6} {cand:>12.6} {ratio:>8.2}x  {verdict}"
+        ));
+        if regressed {
+            failures.push(format!(
+                "{name}: calibrated median {cand:.6} vs baseline {base:.6} \
+                 ({:.1}% worse, allowed {max_regression_pct:.1}%)",
+                (ratio - 1.0) * 100.0
+            ));
+        }
+    }
+    for (name, _) in &candidate.groups {
+        if baseline.calibrated(name).is_none() {
+            rows.push(format!(
+                "{name:<32} {:>12} {:>12} {:>9}  candidate-only (not gated)",
+                "-", "-", "-"
+            ));
+        }
+    }
+    if shared == 0 {
+        failures.push(
+            "no benchmark groups shared between the reports — the gate would be vacuous"
+                .to_string(),
+        );
+    }
+    for name in required {
+        if baseline.calibrated(name).is_none() || candidate.calibrated(name).is_none() {
+            failures.push(format!(
+                "{name}: required group is missing from a report — \
+                 renamed or added benchmarks must be carried into the committed baseline"
+            ));
+        }
+    }
+    Verdict { rows, failures }
+}
+
+fn load(path: &str) -> Result<Report, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_report(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut files: Vec<String> = Vec::new();
     let mut max_regression_pct = 25.0f64;
-    let mut absolute = false;
     let mut required: Vec<String> = Vec::new();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -99,7 +184,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--absolute" => absolute = true,
             "--require" => match args.next() {
                 Some(name) => required.push(name),
                 None => {
@@ -111,7 +195,7 @@ fn main() -> ExitCode {
         }
     }
     let [baseline_path, candidate_path] = files.as_slice() else {
-        eprintln!("usage: bench_compare [--max-regression-pct N] [--absolute] [--require GROUP]... <baseline.json> <candidate.json>");
+        eprintln!("usage: bench_compare [--max-regression-pct N] [--require GROUP]... <baseline.json> <candidate.json>");
         return ExitCode::FAILURE;
     };
     let (baseline, candidate) = match (load(baseline_path), load(candidate_path)) {
@@ -124,71 +208,103 @@ fn main() -> ExitCode {
         }
     };
 
-    let allowed = 1.0 + max_regression_pct / 100.0;
-    let mut shared = 0usize;
-    let mut gated: Vec<&str> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
+    let verdict = compare(&baseline, &candidate, max_regression_pct, &required);
     println!(
-        "{:<32} {:>14} {:>14} {:>9}  verdict",
-        "benchmark", "base norm", "cand norm", "ratio"
+        "{:<32} {:>12} {:>12} {:>9}  verdict",
+        "benchmark", "base calib", "cand calib", "ratio"
     );
-    for (name, b_before, b_after) in &baseline {
-        let Some((_, c_before, c_after)) = candidate.iter().find(|(n, _, _)| n == name) else {
-            println!("{name:<32} {:>14} {:>14} {:>9}  baseline-only (not gated)", "-", "-", "-");
-            continue;
-        };
-        if *b_before <= 0.0 || *c_before <= 0.0 || *b_after <= 0.0 || *c_after <= 0.0 {
-            println!("{name:<32} {:>14} {:>14} {:>9}  degenerate medians (not gated)", "-", "-", "-");
-            continue;
-        }
-        shared += 1;
-        gated.push(name.as_str());
-        let base_norm = b_after / b_before;
-        let cand_norm = c_after / c_before;
-        let ratio = cand_norm / base_norm;
-        let mut verdict = if ratio > allowed { "REGRESSED" } else { "ok" };
-        if absolute && *c_after > b_after * allowed {
-            verdict = "REGRESSED";
-        }
-        println!(
-            "{name:<32} {base_norm:>14.6} {cand_norm:>14.6} {ratio:>8.2}x  {verdict}"
-        );
-        if verdict == "REGRESSED" {
-            failures.push(format!(
-                "{name}: normalized median {cand_norm:.6} vs baseline {base_norm:.6} \
-                 ({:.1}% worse, allowed {max_regression_pct:.1}%)",
-                (ratio - 1.0) * 100.0
-            ));
-        }
+    for row in &verdict.rows {
+        println!("{row}");
     }
-    for (name, _, _) in &candidate {
-        if !baseline.iter().any(|(n, _, _)| n == name) {
-            println!("{name:<32} {:>14} {:>14} {:>9}  candidate-only (new, not gated)", "-", "-", "-");
-        }
-    }
-    if shared == 0 {
-        eprintln!(
-            "error: no benchmark groups shared between {baseline_path} and {candidate_path} — \
-             the gate would be vacuous; update the baseline deliberately"
-        );
-        return ExitCode::FAILURE;
-    }
-    for name in &required {
-        if !gated.iter().any(|g| g == name) {
-            failures.push(format!(
-                "{name}: required group is not part of the gated shared set — \
-                 renamed/added benchmarks must be carried into the committed baseline"
-            ));
-        }
-    }
-    if failures.is_empty() {
-        println!("\nbench gate passed: {shared} shared group(s) within {max_regression_pct:.0}% of baseline");
+    if verdict.failures.is_empty() {
+        println!("\nbench gate passed: calibrated medians within {max_regression_pct:.0}% of {baseline_path}");
         ExitCode::SUCCESS
     } else {
         eprintln!("\nbench gate FAILED:");
-        for f in &failures {
+        for f in &verdict.failures {
             eprintln!("  {f}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(calibration: f64, groups: &[(&str, f64)]) -> Report {
+        Report {
+            calibration_ns: calibration,
+            groups: groups.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
+        }
+    }
+
+    #[test]
+    fn parses_the_bench_report_format() {
+        let text = r#"{
+  "pr": 14,
+  "bench": "planner",
+  "unit": "ns",
+  "calibration_median_ns": 4000.0,
+  "results": [
+    {"name": "scan_10k", "median_ns": 800.5},
+    {"name": "join_10k", "median_ns": 1.2e4}
+  ]
+}"#;
+        assert_eq!(
+            parse_report(text).unwrap(),
+            report(4000.0, &[("scan_10k", 800.5), ("join_10k", 12000.0)])
+        );
+    }
+
+    #[test]
+    fn missing_calibration_record_fails() {
+        let text = r#"{"results": [
+    {"name": "scan_10k", "median_ns": 800.5}
+]}"#;
+        let err = parse_report(text).unwrap_err();
+        assert!(err.contains("calibration"), "{err}");
+    }
+
+    #[test]
+    fn ratio_is_normalised_by_each_runs_calibration() {
+        // The candidate machine is twice as slow across the board: raw
+        // medians double, calibrated medians do not move.
+        let base = report(1000.0, &[("scan", 500.0)]);
+        let cand = report(2000.0, &[("scan", 1000.0)]);
+        assert!(compare(&base, &cand, 25.0, &[]).failures.is_empty());
+        // A 30% slowdown of the group alone, on the same machine, fails.
+        let slow = report(1000.0, &[("scan", 650.0)]);
+        let verdict = compare(&base, &slow, 25.0, &[]);
+        assert_eq!(verdict.failures.len(), 1, "{:?}", verdict.failures);
+        assert!(verdict.failures[0].starts_with("scan:"));
+    }
+
+    #[test]
+    fn required_group_absent_from_report_fails() {
+        let base = report(1000.0, &[("scan", 500.0), ("join", 700.0)]);
+        let cand = report(1000.0, &[("scan", 500.0)]);
+        let required = ["join".to_string()];
+        let verdict = compare(&base, &cand, 25.0, &required);
+        assert_eq!(verdict.failures.len(), 1, "{:?}", verdict.failures);
+        assert!(verdict.failures[0].starts_with("join:"));
+        // Not required: reported, not gated.
+        assert!(compare(&base, &cand, 25.0, &[]).failures.is_empty());
+    }
+
+    #[test]
+    fn only_required_groups_gate_once_any_is_named() {
+        let base = report(1000.0, &[("steady", 500.0), ("noisy", 500.0)]);
+        let cand = report(1000.0, &[("steady", 510.0), ("noisy", 900.0)]);
+        assert_eq!(compare(&base, &cand, 25.0, &[]).failures.len(), 1);
+        let required = ["steady".to_string()];
+        assert!(compare(&base, &cand, 25.0, &required).failures.is_empty());
+    }
+
+    #[test]
+    fn no_shared_groups_fails() {
+        let base = report(1000.0, &[("scan", 500.0)]);
+        let cand = report(1000.0, &[("join", 500.0)]);
+        assert_eq!(compare(&base, &cand, 25.0, &[]).failures.len(), 1);
     }
 }

@@ -1,11 +1,14 @@
 //! Transactional integrity of the database substrate under the actual
 //! workload shape the agent produces (procedure calls over the cinema
-//! schema), plus property-based atomicity checks.
+//! schema), plus seeded property checks of atomicity and index
+//! consistency over random operation sequences.
 
 use cat_corpus::{generate_cinema, CinemaConfig};
-use cat_txdb::{Predicate, TxdbError, Value};
-#[cfg(feature = "proptests")]
-use proptest::prelude::*;
+use cat_txdb::{
+    DataType, Database, Predicate, Row, RowId, TableSchema, Transaction, TxdbError, Value,
+};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 #[test]
 fn procedure_failures_never_leak_partial_state() {
@@ -142,38 +145,133 @@ fn cascading_cleanup_rolls_back_atomically() {
     assert_eq!(db.total_rows(), total_before);
 }
 
-// Gated: the proptest crate is unavailable in the offline build; the
-// plain #[test] fns above always run.
-#[cfg(feature = "proptests")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// One random mutation against the `(id, name)` table `t`.
+enum Op {
+    Insert(i64, String),
+    Delete(i64),
+    Update(i64, String),
+}
 
-    /// Random interleavings of valid/invalid procedure calls keep every
-    /// foreign key intact.
-    #[test]
-    fn random_procedure_workload_preserves_integrity(
-        calls in proptest::collection::vec((0i64..40, 0i64..50, 1i64..6, any::<bool>()), 1..40)
-    ) {
-        let mut db = generate_cinema(&CinemaConfig::small(34)).expect("db");
-        for (c, s, n, cancel) in calls {
-            let args = vec![
-                ("customer_id".to_string(), Value::Int(c)),
-                ("screening_id".to_string(), Value::Int(s)),
-            ];
-            if cancel {
-                let _ = db.call("cancel_reservation", &args);
-            } else {
-                let mut args = args;
-                args.push(("ticket_amount".to_string(), Value::Int(n)));
-                let _ = db.call("ticket_reservation", &args);
-            }
+fn random_ops(rng: &mut StdRng, max: usize) -> Vec<Op> {
+    let name = |rng: &mut StdRng| {
+        let len = rng.random_range(1..=8usize);
+        (0..len)
+            .map(|_| char::from(b'a' + rng.random_range(0..26u8)))
+            .collect::<String>()
+    };
+    (0..rng.random_range(1..=max))
+        .map(|_| match rng.random_range(0..3u8) {
+            0 => Op::Insert(rng.random_range(0..50), name(rng)),
+            1 => Op::Delete(rng.random_range(0..50)),
+            _ => Op::Update(rng.random_range(0..50), name(rng)),
+        })
+        .collect()
+}
+
+/// A fresh `t(id PK, name)` table with `seed_ops`' inserts applied.
+fn seeded_t(seed_ops: Vec<Op>) -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::builder("t")
+            .column("id", DataType::Int)
+            .column("name", DataType::Text)
+            .primary_key(&["id"])
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    for op in seed_ops {
+        if let Op::Insert(k, s) = op {
+            let _ = db.insert("t", Row::new(vec![Value::Int(k), Value::Text(s)]));
         }
-        // Every reservation references live parents.
-        for (_, row) in db.table("reservation").unwrap().scan() {
-            let c = row.get(0).unwrap();
-            let s = row.get(1).unwrap();
-            prop_assert!(!db.table("customer").unwrap().lookup("customer_id", c).is_empty());
-            prop_assert!(!db.table("screening").unwrap().lookup("screening_id", s).is_empty());
+    }
+    db
+}
+
+/// Apply `ops` inside `txn`, ignoring individual failures (duplicate
+/// keys, missing rows).
+fn apply(txn: &mut Transaction<'_>, ops: &[Op]) {
+    let rid_of = |txn: &Transaction<'_>, k: i64| {
+        let hits = txn.select("t", &Predicate::eq("id", k)).unwrap();
+        hits.first().map(|(rid, _)| *rid)
+    };
+    for op in ops {
+        let _ = match op {
+            Op::Insert(k, s) => txn
+                .insert("t", Row::new(vec![Value::Int(*k), Value::Text(s.clone())]))
+                .map(drop),
+            Op::Delete(k) => match rid_of(txn, *k) {
+                Some(rid) => txn.delete("t", rid).map(drop),
+                None => Ok(()),
+            },
+            Op::Update(k, s) => match rid_of(txn, *k) {
+                Some(rid) => txn
+                    .update("t", rid, "name", Value::Text(s.clone()))
+                    .map(drop),
+                None => Ok(()),
+            },
+        };
+    }
+}
+
+fn rows_of(db: &Database) -> Vec<(i64, String)> {
+    let mut rows: Vec<(i64, String)> = db
+        .table("t")
+        .unwrap()
+        .scan()
+        .map(|(_, r)| {
+            (
+                r.get(0).unwrap().as_int().unwrap(),
+                r.get(1).unwrap().as_text().unwrap().to_string(),
+            )
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Rollback restores the exact pre-transaction state, even when
+/// individual operations inside the transaction fail.
+#[test]
+fn aborted_transaction_is_invisible() {
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(0xAB0 + seed);
+        let mut db = seeded_t(random_ops(&mut rng, 20));
+        let before = rows_of(&db);
+        let ops = random_ops(&mut rng, 30);
+        apply(&mut db.begin(), &ops); // dropped without commit: rolls back
+        assert_eq!(rows_of(&db), before, "seed {seed}");
+    }
+}
+
+/// Hash-index lookups on the primary key and on an indexed column agree
+/// with a scan after arbitrary committed mutations.
+#[test]
+fn index_agrees_with_scan() {
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(0x1D0 + seed);
+        let mut db = seeded_t(random_ops(&mut rng, 20));
+        db.table_mut("t").unwrap().create_index("name").unwrap();
+        let ops = random_ops(&mut rng, 60);
+        let mut txn = db.begin();
+        apply(&mut txn, &ops);
+        txn.commit();
+        let t = db.table("t").unwrap();
+        let names: Vec<Value> = t.scan().map(|(_, r)| r.get(1).unwrap().clone()).collect();
+        let probes = (0..50)
+            .map(|k| (0, Value::Int(k)))
+            .chain(names.into_iter().map(|n| (1, n)))
+            .chain([(1, Value::Text("absent".into()))]);
+        for (col, probe) in probes {
+            let column = ["id", "name"][col];
+            let mut via_index = t.lookup(column, &probe).unwrap();
+            via_index.sort();
+            let via_scan: Vec<RowId> = t
+                .scan()
+                .filter(|(_, r)| r.get(col) == Some(&probe))
+                .map(|(rid, _)| rid)
+                .collect();
+            assert_eq!(via_index, via_scan, "seed {seed}, {column} = {probe:?}");
         }
     }
 }
