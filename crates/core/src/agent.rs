@@ -434,14 +434,7 @@ impl ConversationalAgent {
             return Ok(false);
         };
         // Inventory: distinct values of the attribute over the candidates.
-        let mut inventory: Vec<Value> = Vec::new();
-        for &rid in &ident.cs.rows {
-            for v in CandidateSet::values_for_row(&self.db, &attr, rid)? {
-                if !inventory.contains(&v) {
-                    inventory.push(v);
-                }
-            }
-        }
+        let inventory = ident.cs.distinct_values(&self.db, &attr)?;
         let text = user_text.trim();
         // Typed parse first (numbers, dates), then fuzzy text match.
         let col_ty = self

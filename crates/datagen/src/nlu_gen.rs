@@ -2,6 +2,7 @@
 //! database values, augment with paraphrases and typo noise (paper §3,
 //! "Natural Language Understanding").
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
@@ -10,7 +11,7 @@ use rand::{RngExt, SeedableRng};
 
 use cat_nlg::{NoiseModel, Paraphraser, Template};
 use cat_nlu::{Gazetteer, NluExample, SlotAnnotation};
-use cat_txdb::Database;
+use cat_txdb::{Database, Value};
 
 use crate::extract::TaskSpec;
 
@@ -200,19 +201,35 @@ pub fn builtin_general_examples() -> Vec<NluExample> {
         .collect()
 }
 
-/// Sample a value for a slot from its source.
-fn sample_value(db: &Database, source: &ValueSource, rng: &mut StdRng) -> Option<String> {
+/// The non-null values of each sampled `(table, column)`, borrowed from
+/// the database and collected on first use.
+type ColumnValues<'a> = HashMap<(&'a str, &'a str), Vec<&'a Value>>;
+
+/// Sample a value for a slot from its source. A column is sampled over
+/// its non-null values, collected once per generation into `columns`;
+/// only the chosen value is rendered.
+fn sample_value<'a>(
+    db: &'a Database,
+    source: &'a ValueSource,
+    columns: &mut ColumnValues<'a>,
+    rng: &mut StdRng,
+) -> Option<String> {
     match source {
         ValueSource::Column { table, column } => {
-            let t = db.table(table).ok()?;
-            let idx = t.schema().column_index(column)?;
-            let values: Vec<String> = t
-                .scan()
-                .filter_map(|(_, row)| row.get(idx))
-                .filter(|v| !v.is_null())
-                .map(|v| v.render())
-                .collect();
-            values.choose(rng).cloned()
+            let values = match columns.entry((table, column)) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    let t = db.table(table).ok()?;
+                    let idx = t.schema().column_index(column)?;
+                    e.insert(
+                        t.scan()
+                            .filter_map(|(_, row)| row.get(idx))
+                            .filter(|v| !v.is_null())
+                            .collect(),
+                    )
+                }
+            };
+            values.choose(rng).map(|v| v.render())
         }
         ValueSource::Range { lo, hi } => Some(rng.random_range(*lo..=*hi).to_string()),
         ValueSource::OneOf(options) => options.choose(rng).cloned(),
@@ -228,13 +245,26 @@ pub fn generate_nlu_data(
     templates: &TemplateSet,
     config: &DataGenConfig,
 ) -> Vec<NluExample> {
+    let mut columns = ColumnValues::new();
+    generate_with(templates, tasks, config, |source, rng| {
+        sample_value(db, source, &mut columns, rng)
+    })
+}
+
+/// [`generate_nlu_data`] with the placeholder sampler passed in.
+fn generate_with<'t>(
+    templates: &'t TemplateSet,
+    tasks: &[TaskSpec],
+    config: &DataGenConfig,
+    mut sample: impl FnMut(&'t ValueSource, &mut StdRng) -> Option<String>,
+) -> Vec<NluExample> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let paraphraser = Paraphraser::new(config.max_paraphrases, config.seed);
     let noise = NoiseModel::new(config.noise_rate);
     let mut out = Vec::new();
 
-    let emit = |intent: &str, template_src: &str, out: &mut Vec<NluExample>, rng: &mut StdRng| {
-        let Ok(template) = Template::parse(template_src) else {
+    let mut emit = |intent: &str, src: &str, out: &mut Vec<NluExample>, rng: &mut StdRng| {
+        let Ok(template) = Template::parse(src) else {
             return;
         };
         let variants = if config.paraphrase {
@@ -248,11 +278,7 @@ pub fn generate_nlu_data(
                 let mut bindings: Vec<(String, String)> = Vec::new();
                 let mut ok = true;
                 for ph in variant.placeholders() {
-                    match templates
-                        .sources
-                        .get(ph)
-                        .and_then(|s| sample_value(db, s, rng))
-                    {
+                    match templates.sources.get(ph).and_then(|s| sample(s, rng)) {
                         Some(v) => bindings.push((ph.to_string(), v)),
                         None => {
                             ok = false;
@@ -343,7 +369,7 @@ pub fn build_gazetteer(db: &Database, templates: &TemplateSet) -> Gazetteer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cat_txdb::{DataType, Row, TableSchema, Value};
+    use cat_txdb::{DataType, Row, TableSchema};
 
     fn movie_db() -> Database {
         let mut db = Database::new();
@@ -489,6 +515,82 @@ mod tests {
         assert!(g.resolve("movie_title", "forrest gump", 0.9).is_some());
         // Range-sourced slots have no inventory.
         assert!(g.values("ticket_amount").is_empty());
+    }
+
+    /// The column sampler before it borrowed values: renders the whole
+    /// column on every draw, then chooses. Kept to pin that the borrowed,
+    /// collected-once sampler makes the same RNG draws and so the same
+    /// training set.
+    fn render_all_sample_value(
+        db: &Database,
+        source: &ValueSource,
+        rng: &mut StdRng,
+    ) -> Option<String> {
+        match source {
+            ValueSource::Column { table, column } => {
+                let t = db.table(table).ok()?;
+                let idx = t.schema().column_index(column)?;
+                let values: Vec<String> = t
+                    .scan()
+                    .filter_map(|(_, row)| row.get(idx))
+                    .filter(|v| !v.is_null())
+                    .map(|v| v.render())
+                    .collect();
+                values.choose(rng).cloned()
+            }
+            ValueSource::Range { lo, hi } => Some(rng.random_range(*lo..=*hi).to_string()),
+            ValueSource::OneOf(options) => options.choose(rng).cloned(),
+        }
+    }
+
+    #[test]
+    fn borrowed_sampler_matches_render_all_sampler_on_cinema() {
+        let mut db = cat_corpus::generate_cinema(&cat_corpus::CinemaConfig::default()).unwrap();
+        // NULLs in a sampled column must be skipped identically.
+        let rids: Vec<_> = db
+            .table("customer")
+            .unwrap()
+            .scan()
+            .map(|(rid, _)| rid)
+            .step_by(3)
+            .collect();
+        for rid in rids {
+            db.update("customer", rid, "phone", Value::Null).unwrap();
+        }
+        let column = |table: &str, column: &str| ValueSource::Column {
+            table: table.into(),
+            column: column.into(),
+        };
+        let mut ts = TemplateSet::new();
+        ts.add_request(
+            "ticket_reservation",
+            "i want to buy {ticket_amount} tickets",
+        )
+        .add_request(
+            "ticket_reservation",
+            "book {movie_title} for {customer_name}",
+        )
+        .add_inform("customer_name", "my name is {customer_name}")
+        .add_inform("customer_phone", "my phone is {customer_phone}")
+        .add_inform("movie_rating", "it is rated {movie_rating}")
+        .add_inform("movie_title", "i want to watch {movie_title}")
+        .add_inform("actor_name", "the movie stars {actor_name}")
+        .add_inform("screening_date", "i want to go on {screening_date}")
+        .add_inform("ticket_amount", "{ticket_amount} seats please")
+        .add_source("customer_name", column("customer", "name"))
+        .add_source("customer_phone", column("customer", "phone"))
+        .add_source("movie_rating", column("movie", "rating"))
+        .add_source("movie_title", column("movie", "title"))
+        .add_source("actor_name", column("actor", "name"))
+        .add_source("screening_date", column("screening", "date"))
+        .add_source("ticket_amount", ValueSource::Range { lo: 1, hi: 8 });
+        let cfg = DataGenConfig::default();
+        let borrowed = generate_nlu_data(&db, &[task()], &ts, &cfg);
+        let rendered = generate_with(&ts, &[task()], &cfg, |source, rng| {
+            render_all_sample_value(&db, source, rng)
+        });
+        assert!(borrowed.len() > 100);
+        assert_eq!(borrowed, rendered);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::collections::HashSet;
 
-use cat_txdb::{follow_hop, follow_path, Database, Result, RowId, TxdbError, Value};
+use cat_txdb::{follow_path, Database, JoinHop, Result, RowId, Table, TxdbError, Value};
 
 use crate::attribute::Attribute;
 
@@ -14,7 +14,7 @@ use crate::attribute::Attribute;
 pub struct CandidateSet {
     /// The entity table being identified.
     pub table: String,
-    /// Row ids still in play.
+    /// Row ids still in play, ascending.
     pub rows: Vec<RowId>,
     /// Constraints applied so far (attribute key, value).
     pub constraints: Vec<(String, Value)>,
@@ -72,42 +72,57 @@ impl CandidateSet {
         Ok(out)
     }
 
+    /// The distinct values `attr` takes over the candidates, in
+    /// first-seen order: candidates ascending, each candidate's values in
+    /// [`CandidateSet::values_for_row`] order. Values are hashed by
+    /// reference and cloned once each, so this is one pass over the
+    /// candidates rather than a scan of the inventory per value.
+    pub fn distinct_values(&self, db: &Database, attr: &Attribute) -> Result<Vec<Value>> {
+        let target = db.table(&attr.table)?;
+        let idx = target.schema().require_column(&attr.column)?;
+        let mut seen: HashSet<&Value> = HashSet::new();
+        let mut out = Vec::new();
+        for &rid in &self.rows {
+            let walked;
+            let reached = if attr.path.is_empty() {
+                std::slice::from_ref(&rid)
+            } else {
+                walked = follow_path(db, &attr.path, rid);
+                walked.as_slice()
+            };
+            for &r in reached {
+                let row = target.get(r).ok_or_else(|| no_such_row(&attr.table))?;
+                if let Some(v) = row.get(idx).filter(|v| !v.is_null()) {
+                    if seen.insert(v) {
+                        out.push(v.clone());
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
     /// Restrict to candidates whose attribute values contain `value`.
     /// Returns the number of remaining candidates. The constraint is
     /// recorded (it keys the statistics cache and drives explanations).
     ///
     /// When the attribute's column is hash-indexed, the restriction is an
     /// index-lookup-and-intersect on `RowId` sets: one probe finds every
-    /// row of the attribute table holding `value`, the FK path is walked
-    /// *backwards* from that set (each hop is an indexed lookup on the FK
-    /// columns, which the engine auto-indexes), and the result is
-    /// intersected with the candidate set. Cost scales with the number of
-    /// matches, not with |candidates| × path length. Without an index the
-    /// original per-candidate forward walk runs instead.
+    /// row of the attribute table holding `value`, `BackPath` walks the
+    /// FK path *backwards* from that set (each hop is an indexed lookup on
+    /// the FK columns, which the engine auto-indexes), and a sorted merge
+    /// intersects the result with the candidate set. Cost scales with the
+    /// number of matches, not with |candidates| × path length. Without an
+    /// index the per-candidate forward walk runs instead.
     pub fn refine(&mut self, db: &Database, attr: &Attribute, value: &Value) -> Result<usize> {
         let target = db.table(&attr.table)?;
         if target.has_index(&attr.column) {
-            // Rows of the attribute table exhibiting the value.
-            let mut frontier = target.lookup(&attr.column, value)?;
-            // Walk the join path in reverse back to the entity table; a
-            // candidate matches iff it can reach any row in the frontier,
-            // which (FK edges being symmetric equalities) is exactly
-            // reverse-reachability.
-            for hop in attr.path.iter().rev() {
-                let back = hop.reversed();
-                let mut next: Vec<RowId> = Vec::new();
-                for &rid in &frontier {
-                    next.extend(follow_hop(db, &back, rid));
-                }
-                next.sort_unstable();
-                next.dedup();
-                frontier = next;
-                if frontier.is_empty() {
-                    break;
-                }
-            }
-            let matching: HashSet<RowId> = frontier.into_iter().collect();
-            self.rows.retain(|rid| matching.contains(rid));
+            let frontier = target.lookup(&attr.column, value)?;
+            let matching = BackPath::new(db, &attr.path).walk(frontier);
+            self.rows = intersect_positions(&self.rows, &matching)
+                .into_iter()
+                .map(|i| self.rows[i])
+                .collect();
         } else {
             self.refine_by_walk(db, attr, value)?;
         }
@@ -116,8 +131,9 @@ impl CandidateSet {
     }
 
     /// The non-indexed fallback (and pre-index reference implementation):
-    /// walk the join path forward from every candidate and compare values.
-    /// Exposed for differential tests and benchmarks.
+    /// walk the join path forward from every candidate and compare the
+    /// reached values in place. Exposed for differential tests and
+    /// benchmarks.
     #[doc(hidden)]
     pub fn refine_by_walk(
         &mut self,
@@ -125,13 +141,23 @@ impl CandidateSet {
         attr: &Attribute,
         value: &Value,
     ) -> Result<usize> {
+        let target = db.table(&attr.table)?;
+        let idx = target.schema().require_column(&attr.column)?;
         let mut kept = Vec::with_capacity(self.rows.len());
         for &rid in &self.rows {
-            if Self::values_for_row(db, attr, rid)?
-                .iter()
-                .any(|v| v == value)
-            {
-                kept.push(rid);
+            let walked;
+            let reached = if attr.path.is_empty() {
+                std::slice::from_ref(&rid)
+            } else {
+                walked = follow_path(db, &attr.path, rid);
+                walked.as_slice()
+            };
+            for &r in reached {
+                let row = target.get(r).ok_or_else(|| no_such_row(&attr.table))?;
+                if row.get(idx).is_some_and(|v| !v.is_null() && v == value) {
+                    kept.push(rid);
+                    break;
+                }
             }
         }
         self.rows = kept;
@@ -190,6 +216,128 @@ impl CandidateSet {
         })?;
         Ok(Some(t.pk_of(row)))
     }
+}
+
+fn no_such_row(table: &str) -> TxdbError {
+    TxdbError::NoSuchRow {
+        table: table.to_string(),
+    }
+}
+
+/// One FK hop of an attribute's join path, resolved for walking it from
+/// its far end back towards the entity table.
+struct BackHop<'a> {
+    /// Table the walk is at (the hop's `to_table`).
+    at: &'a Table,
+    /// Position of the join column in `at`.
+    at_column: usize,
+    /// Table the walk steps to (the hop's `from_table`).
+    to: &'a Table,
+    /// Join column in `to`, probed through its FK hash index.
+    to_column: &'a str,
+}
+
+/// An attribute's FK path resolved once (tables and column positions),
+/// to walk many frontiers back to the entity table. Equivalent to
+/// following every `hop.reversed()` with [`follow_hop`] in reverse order,
+/// without the per-row name lookups and key clones; an unresolvable path
+/// reaches nothing, as [`follow_hop`] treats a missing table or column.
+///
+/// [`follow_hop`]: cat_txdb::follow_hop
+pub(crate) struct BackPath<'a> {
+    hops: Option<Vec<BackHop<'a>>>,
+}
+
+impl<'a> BackPath<'a> {
+    pub(crate) fn new(db: &'a Database, path: &'a [JoinHop]) -> BackPath<'a> {
+        let hops = path
+            .iter()
+            .rev()
+            .map(|hop| {
+                let at = db.table(&hop.to_table).ok()?;
+                Some(BackHop {
+                    at,
+                    at_column: at.schema().column_index(&hop.to_column)?,
+                    to: db.table(&hop.from_table).ok()?,
+                    to_column: &hop.from_column,
+                })
+            })
+            .collect();
+        BackPath { hops }
+    }
+
+    /// The rows of the path's first table (the entity table) that reach
+    /// any row of `frontier` (rows of its last table), ascending and
+    /// deduplicated. An empty path returns `frontier` itself.
+    pub(crate) fn walk(&self, mut frontier: Vec<RowId>) -> Vec<RowId> {
+        let Some(hops) = &self.hops else {
+            return Vec::new();
+        };
+        for hop in hops {
+            let mut next: Vec<RowId> = Vec::new();
+            for &rid in &frontier {
+                let Some(key) = hop.at.get(rid).and_then(|row| row.get(hop.at_column)) else {
+                    continue;
+                };
+                if key.is_null() {
+                    continue;
+                }
+                match hop.to.index_bucket(hop.to_column, key) {
+                    Some(bucket) => next.extend_from_slice(bucket),
+                    None => next.extend(hop.to.lookup(hop.to_column, key).unwrap_or_default()),
+                }
+            }
+            next.sort_unstable();
+            next.dedup();
+            frontier = next;
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        frontier
+    }
+}
+
+/// Positions in `rows` of the ids that also occur in `other`, ascending.
+/// Both slices must be ascending and duplicate-free. Walks the shorter
+/// slice and gallops through the longer one, so a few matches against a
+/// large candidate set cost a few binary searches, and two sets of equal
+/// size cost one merge.
+pub(crate) fn intersect_positions(rows: &[RowId], other: &[RowId]) -> Vec<usize> {
+    let mut out = Vec::new();
+    if rows.len() <= other.len() {
+        let mut rest = other;
+        for (i, rid) in rows.iter().enumerate() {
+            rest = &rest[gallop(rest, *rid)..];
+            match rest.first() {
+                None => break,
+                Some(r) if r == rid => out.push(i),
+                Some(_) => {}
+            }
+        }
+    } else {
+        let mut lo = 0;
+        for rid in other {
+            lo += gallop(&rows[lo..], *rid);
+            match rows.get(lo) {
+                None => break,
+                Some(r) if r == rid => out.push(lo),
+                Some(_) => {}
+            }
+        }
+    }
+    out
+}
+
+/// Index of the first element of ascending `s` that is `>= x`, found by
+/// exponential search from the front: O(log k) for an answer at `k`.
+fn gallop(s: &[RowId], x: RowId) -> usize {
+    let mut step = 1;
+    while step <= s.len() && s[step - 1] < x {
+        step *= 2;
+    }
+    let lo = step / 2;
+    lo + s[lo..step.min(s.len())].partition_point(|y| *y < x)
 }
 
 #[cfg(test)]
@@ -376,6 +524,77 @@ mod tests {
             .refine(&indexed, &genre, &Value::Text("Western".into()))
             .unwrap();
         assert!(cs_indexed.is_empty());
+    }
+
+    #[test]
+    fn distinct_values_match_the_naive_inventory() {
+        let db = movie_db();
+        let attrs = enumerate_attributes(&db, "movie", 2);
+        let naive = |cs: &CandidateSet, attr: &Attribute| {
+            let mut inventory: Vec<Value> = Vec::new();
+            for &rid in &cs.rows {
+                for v in CandidateSet::values_for_row(&db, attr, rid).unwrap() {
+                    if !inventory.contains(&v) {
+                        inventory.push(v);
+                    }
+                }
+            }
+            inventory
+        };
+        let all = CandidateSet::all(&db, "movie").unwrap();
+        let mut crime = all.clone();
+        crime
+            .refine(
+                &db,
+                &Attribute::local("movie", "genre"),
+                &Value::Text("Crime".into()),
+            )
+            .unwrap();
+        for cs in [&all, &crime] {
+            for attr in &attrs {
+                assert_eq!(
+                    cs.distinct_values(&db, attr).unwrap(),
+                    naive(cs, attr),
+                    "{} over {} movies",
+                    attr.key(),
+                    cs.len()
+                );
+            }
+        }
+        // De Niro plays in Heat and Fargo but is listed once, after
+        // Heat's first actor.
+        let actor_name = attrs.iter().find(|a| a.key() == "actor.name").unwrap();
+        let names: Vec<String> = all
+            .distinct_values(&db, actor_name)
+            .unwrap()
+            .iter()
+            .map(Value::render)
+            .collect();
+        assert_eq!(names, ["Al Pacino", "Robert De Niro", "Sigourney Weaver"]);
+    }
+
+    #[test]
+    fn intersect_positions_matches_a_naive_filter() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // An ascending id list of up to 300 candidates, each kept with
+        // probability `p`.
+        fn draw(rng: &mut StdRng, p: f64) -> Vec<RowId> {
+            (0..rng.random_range(0..300u64))
+                .filter(|_| rng.random_bool(p))
+                .map(RowId)
+                .collect()
+        }
+        let mut rng = StdRng::seed_from_u64(0x1A7);
+        for _ in 0..200 {
+            let a = draw(&mut rng, 0.5);
+            let p = [0.01, 0.1, 0.5, 0.9][rng.random_range(0..4usize)];
+            let b = draw(&mut rng, p);
+            let expected: Vec<usize> = (0..a.len()).filter(|&i| b.contains(&a[i])).collect();
+            assert_eq!(intersect_positions(&a, &b), expected);
+            let back: Vec<usize> = (0..b.len()).filter(|&i| a.contains(&b[i])).collect();
+            assert_eq!(intersect_positions(&b, &a), back);
+        }
     }
 
     #[test]

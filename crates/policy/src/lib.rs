@@ -22,6 +22,17 @@
 //! No retraining is needed when data changes: the candidate set and the
 //! entropies are always computed against the live database.
 //!
+//! A cold entropy is computed straight from `Table` storage and the FK
+//! hash indexes, not through the SQL planner. A joined attribute is
+//! scored in whichever direction the table cardinalities price cheaper
+//! ([`select::entropy_and_coverage`]): forward along the join path from
+//! every candidate, or in reverse from the attribute table's value groups
+//! back to the candidates they reach. A question about 50k customers'
+//! movies thus costs the few hundred reservations that reach a movie,
+//! not three index probes per customer. Both directions give
+//! bit-identical scores, so the chosen question never depends on the
+//! direction.
+//!
 //! [`simulate`] provides the identification-episode harness used by the
 //! §4 experiments (data-aware vs [`select::StaticPolicy`] vs
 //! [`select::RandomPolicy`]).

@@ -1,20 +1,25 @@
 //! Attribute selection policies: the paper's data-aware policy and the
 //! static and random baselines it is evaluated against (§4).
 
+use std::collections::HashMap;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use cat_txdb::{Database, Result, Value};
+use cat_txdb::{Database, JoinDirection, Result, RowId, Value};
 
 use crate::attribute::{enumerate_attributes, Attribute};
 use crate::awareness::AwarenessModel;
 use crate::cache::StatsCache;
-use crate::candidates::CandidateSet;
+use crate::candidates::{intersect_positions, BackPath, CandidateSet};
 
 /// Shannon entropy of a weighted distribution (weights need not be
 /// integers: multi-valued attributes contribute fractional counts).
+/// The weights are summed in ascending order, so the result does not
+/// depend on the order they arrive in (e.g. a `HashMap`'s).
 pub fn weighted_entropy<I: IntoIterator<Item = f64>>(weights: I) -> f64 {
-    let w: Vec<f64> = weights.into_iter().filter(|&x| x > 0.0).collect();
+    let mut w: Vec<f64> = weights.into_iter().filter(|&x| x > 0.0).collect();
+    w.sort_unstable_by(f64::total_cmp);
     let total: f64 = w.iter().sum();
     if total <= 0.0 {
         return 0.0;
@@ -44,52 +49,161 @@ pub fn candidate_coverage(db: &Database, cs: &CandidateSet, attr: &Attribute) ->
     Ok(entropy_and_coverage(db, cs, attr)?.1)
 }
 
-/// Entropy and coverage in one pass.
+/// Which way [`entropy_and_coverage`] evaluates an attribute.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Read each candidate's values, following the join path forward
+    /// from every candidate.
+    Forward,
+    /// Group the attribute table's rows by value and walk each group back
+    /// along the join path to the candidates it reaches.
+    Reverse,
+}
+
+/// The cheaper direction for `attr` over `cs`, priced from table
+/// cardinalities alone. Forward costs about |candidates| × hops index
+/// probes. Reverse scans the attribute table and walks back through
+/// every table on the path, so it costs about their row counts, plus the
+/// entity rows the last step back reaches: every entity row when the
+/// first hop is many-to-one (the entity holds the FK), at most one per
+/// row of the first table when it is one-to-many. Local columns always
+/// go forward: one row read per candidate.
+#[doc(hidden)]
+pub fn priced_direction(db: &Database, cs: &CandidateSet, attr: &Attribute) -> Direction {
+    let Some(first) = attr.path.first() else {
+        return Direction::Forward;
+    };
+    let rows = |table: &str| db.table(table).map_or(0, |t| t.len());
+    let forward = cs.len().saturating_mul(attr.path.len());
+    let entry = match first.direction {
+        JoinDirection::ManyToOne => rows(&first.from_table),
+        JoinDirection::OneToMany => rows(&first.to_table),
+    };
+    let reverse = entry + attr.path.iter().map(|h| rows(&h.to_table)).sum::<usize>();
+    if reverse < forward {
+        Direction::Reverse
+    } else {
+        Direction::Forward
+    }
+}
+
+/// Entropy and coverage in one pass, in the direction
+/// [`priced_direction`] picks. Both directions give bit-identical
+/// results: every value's weight is the sum of `1/values(c)` over its
+/// candidates `c`, added in ascending `RowId` order either way, and
+/// [`weighted_entropy`] sums the weights in sorted order.
 pub fn entropy_and_coverage(
     db: &Database,
     cs: &CandidateSet,
     attr: &Attribute,
 ) -> Result<(f64, f64)> {
-    use std::collections::HashMap;
-    let mut weights: HashMap<Value, f64> = HashMap::new();
-    let mut covered = 0usize;
-    if attr.path.is_empty() {
-        // Local column: resolve the column index once and read rows
-        // directly, instead of a name lookup + value clone round-trip per
-        // candidate. This loop dominates the policy's per-turn cost.
-        let t = db.table(&attr.table)?;
-        let idx = t.schema().require_column(&attr.column)?;
-        for &rid in &cs.rows {
-            let row = t.get(rid).ok_or_else(|| cat_txdb::TxdbError::NoSuchRow {
-                table: attr.table.clone(),
-            })?;
-            match row.get(idx) {
-                Some(v) if !v.is_null() => {
-                    covered += 1;
-                    *weights.entry(v.clone()).or_insert(0.0) += 1.0;
-                }
-                _ => {}
-            }
-        }
-    } else {
-        for &rid in &cs.rows {
-            let values = CandidateSet::values_for_row(db, attr, rid)?;
-            if values.is_empty() {
-                continue;
-            }
-            covered += 1;
-            let w = 1.0 / values.len() as f64;
-            for v in values {
-                *weights.entry(v).or_insert(0.0) += w;
-            }
-        }
-    }
+    entropy_and_coverage_in(db, cs, attr, priced_direction(db, cs, attr))
+}
+
+/// [`entropy_and_coverage`] in a forced direction, for differential
+/// tests and benchmarks.
+#[doc(hidden)]
+pub fn entropy_and_coverage_in(
+    db: &Database,
+    cs: &CandidateSet,
+    attr: &Attribute,
+    direction: Direction,
+) -> Result<(f64, f64)> {
+    let (weights, covered) = match direction {
+        Direction::Forward => forward_weights(db, cs, attr)?,
+        Direction::Reverse => reverse_weights(db, cs, attr)?,
+    };
     let coverage = if cs.rows.is_empty() {
         0.0
     } else {
         covered as f64 / cs.rows.len() as f64
     };
-    Ok((weighted_entropy(weights.into_values()), coverage))
+    Ok((weighted_entropy(weights), coverage))
+}
+
+/// Per-value weights and the number of covered candidates, read forward:
+/// each candidate's values in turn.
+fn forward_weights(
+    db: &Database,
+    cs: &CandidateSet,
+    attr: &Attribute,
+) -> Result<(Vec<f64>, usize)> {
+    let mut covered = 0usize;
+    if attr.path.is_empty() {
+        // Local column: resolve the column index once and hash borrowed
+        // values straight from the rows.
+        let t = db.table(&attr.table)?;
+        let idx = t.schema().require_column(&attr.column)?;
+        let mut weights: HashMap<&Value, f64> = HashMap::new();
+        for &rid in &cs.rows {
+            let row = t.get(rid).ok_or_else(|| cat_txdb::TxdbError::NoSuchRow {
+                table: attr.table.clone(),
+            })?;
+            if let Some(v) = row.get(idx).filter(|v| !v.is_null()) {
+                covered += 1;
+                *weights.entry(v).or_insert(0.0) += 1.0;
+            }
+        }
+        return Ok((weights.into_values().collect(), covered));
+    }
+    let mut weights: HashMap<Value, f64> = HashMap::new();
+    for &rid in &cs.rows {
+        let values = CandidateSet::values_for_row(db, attr, rid)?;
+        if values.is_empty() {
+            continue;
+        }
+        covered += 1;
+        let w = 1.0 / values.len() as f64;
+        for v in values {
+            *weights.entry(v).or_insert(0.0) += w;
+        }
+    }
+    Ok((weights.into_values().collect(), covered))
+}
+
+/// The same weights read in reverse: group the attribute table's rows by
+/// (borrowed) value, walk each group back to the entity rows reaching it
+/// and intersect those with the candidates. Two passes: the first counts
+/// each candidate's distinct values, the second adds `1/count` to each
+/// value's weight over its candidates in ascending order, exactly the
+/// additions [`forward_weights`] makes.
+fn reverse_weights(
+    db: &Database,
+    cs: &CandidateSet,
+    attr: &Attribute,
+) -> Result<(Vec<f64>, usize)> {
+    let target = db.table(&attr.table)?;
+    let idx = target.schema().require_column(&attr.column)?;
+    let mut groups: HashMap<&Value, Vec<RowId>> = HashMap::new();
+    for (rid, row) in target.scan() {
+        if let Some(v) = row.get(idx).filter(|v| !v.is_null()) {
+            // Scan order is ascending RowId, so groups stay sorted.
+            groups.entry(v).or_default().push(rid);
+        }
+    }
+    let back = BackPath::new(db, &attr.path);
+    let mut counts = vec![0u32; cs.rows.len()];
+    let members: Vec<Vec<usize>> = groups
+        .into_values()
+        .map(|rows| {
+            let positions = intersect_positions(&cs.rows, &back.walk(rows));
+            for &p in &positions {
+                counts[p] += 1;
+            }
+            positions
+        })
+        .collect();
+    let weights = members
+        .iter()
+        .map(|positions| {
+            positions
+                .iter()
+                .fold(0.0, |w, &p| w + 1.0 / counts[p] as f64)
+        })
+        .collect();
+    let covered = counts.iter().filter(|&&c| c > 0).count();
+    Ok((weights, covered))
 }
 
 /// Combined version of every table an attribute's computation touches
@@ -578,5 +692,21 @@ mod tests {
         assert!((weighted_entropy([0.5, 0.5]) - 1.0).abs() < 1e-12);
         assert!((weighted_entropy([2.0, 2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert_eq!(weighted_entropy([0.0, 3.0]), 0.0);
+    }
+
+    #[test]
+    fn weighted_entropy_ignores_input_order() {
+        use rand::seq::SliceRandom;
+        let mut rng = StdRng::seed_from_u64(0xE27);
+        for n in [2usize, 3, 7, 50, 400] {
+            let mut w: Vec<f64> = (0..n)
+                .map(|i| 1.0 / (1 + i % 7) as f64 + rng.random_range(0.0..3.0))
+                .collect();
+            let expected = weighted_entropy(w.iter().copied()).to_bits();
+            for _ in 0..20 {
+                w.shuffle(&mut rng);
+                assert_eq!(weighted_entropy(w.iter().copied()).to_bits(), expected);
+            }
+        }
     }
 }

@@ -15,12 +15,13 @@
 //! "log truncated" is detected on open (the stale log is discarded, not
 //! replayed twice — see `Database::checkpoint` for the full protocol).
 //!
-//! A commit appends its whole batch as one buffered `write` followed by
-//! at most one fsync (group commit): commit latency is one sync, not one
-//! per record. With `WalOptions { fsync: false }` the sync is skipped —
-//! contents still survive process exit (the OS has the bytes), but not
-//! power loss; the differential suite uses this mode to keep its many
-//! short-lived databases fast.
+//! A commit appends its whole batch in bounded buffered writes (chunks of
+//! [`APPEND_CHUNK_BYTES`]) followed by at most one fsync (group commit):
+//! commit latency is one sync, not one per record. With
+//! `WalOptions { fsync: false }` the sync is skipped — contents still
+//! survive process exit (the OS has the bytes), but not power loss; the
+//! differential suite uses this mode to keep its many short-lived
+//! databases fast.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -39,6 +40,9 @@ pub const WAL_FORMAT_VERSION: u32 = 1;
 /// Upper bound on one frame's payload; a length field beyond this is
 /// treated as a torn write rather than an allocation request.
 pub const MAX_FRAME_LEN: u32 = 1 << 28;
+/// A commit's framed records are written in chunks of about this many
+/// bytes: the append buffer stays bounded however large the batch.
+pub const APPEND_CHUNK_BYTES: usize = 64 * 1024;
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -194,23 +198,19 @@ impl Wal {
         Ok(())
     }
 
-    /// Append a batch of records as one buffered write, then fsync once
-    /// (group commit). On error nothing is reported durable — the caller
-    /// must treat the transaction as aborted; recovery discards any
-    /// partially-written tail via the CRC framing.
+    /// Append a batch of records, then fsync once (group commit). The
+    /// framed records go to the file in chunks of about
+    /// [`APPEND_CHUNK_BYTES`], so a bulk load's commit never holds its
+    /// whole batch framed in memory. On error nothing is reported
+    /// durable — the caller must treat the transaction as aborted;
+    /// recovery discards any partially-written tail via the CRC framing.
     pub(crate) fn append_batch(&mut self, records: &[ChangeRecord]) -> Result<()> {
         let ctx = "wal append";
         if let Some(limit) = self.fail_after {
-            // Fault-injection path: write record-by-record and fail once
-            // the limit is hit, leaving a torn batch on disk.
+            // Fault-injection path: write the records up to the limit and
+            // fail once it is hit, leaving a torn batch on disk.
             let writable = (limit.min(records.len() as u64)) as usize;
-            let mut buf = Vec::new();
-            for rec in &records[..writable] {
-                frame_record(&mut buf, rec);
-            }
-            self.file
-                .write_all(&buf)
-                .map_err(|e| TxdbError::io(ctx, &e))?;
+            self.write_framed(&records[..writable])?;
             let _ = self.file.flush();
             self.fail_after = Some(limit - writable as u64);
             self.appended += writable as u64;
@@ -222,19 +222,29 @@ impl Wal {
             }
             return Ok(());
         }
-        let mut buf = Vec::new();
-        for rec in records {
-            frame_record(&mut buf, rec);
-        }
-        self.file
-            .write_all(&buf)
-            .map_err(|e| TxdbError::io(ctx, &e))?;
+        self.write_framed(records)?;
         if self.options.fsync {
             self.file
                 .sync_data()
                 .map_err(|e| TxdbError::io("wal fsync", &e))?;
         }
         self.appended += records.len() as u64;
+        Ok(())
+    }
+
+    /// Frame `records` and write them, one chunk of at least
+    /// [`APPEND_CHUNK_BYTES`] (or the batch's tail) per `write_all`.
+    fn write_framed(&mut self, records: &[ChangeRecord]) -> Result<()> {
+        let mut buf = Vec::new();
+        for (i, rec) in records.iter().enumerate() {
+            frame_record(&mut buf, rec);
+            if buf.len() >= APPEND_CHUNK_BYTES || i + 1 == records.len() {
+                self.file
+                    .write_all(&buf)
+                    .map_err(|e| TxdbError::io("wal append", &e))?;
+                buf.clear();
+            }
+        }
         Ok(())
     }
 

@@ -14,6 +14,7 @@
 use std::path::{Path, PathBuf};
 
 use cat_txdb::database::{SNAPSHOT_FILE, WAL_FILE};
+use cat_txdb::wal::log::APPEND_CHUNK_BYTES;
 use cat_txdb::{
     dump_sql, row, scan_wal, ChangeRecord, DataType, Database, Predicate, TableSchema, TxdbError,
     Value, WalOptions,
@@ -148,6 +149,40 @@ fn reopened_database_keeps_accepting_writes() {
 
     let db = open_fast(&dir);
     assert_eq!(db.table("account").unwrap().len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn commit_spanning_many_append_chunks_recovers() {
+    // One transaction whose framed records are several times the WAL's
+    // append chunk: every chunk must reach the file, in order.
+    let dir = scratch("big-commit");
+    let mut db = open_fast(&dir);
+    db.create_table(accounts_schema()).unwrap();
+    let log_before = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+    let records_before = db.wal_appended_records();
+    let txn = db.txn_begin();
+    for i in 0..3000i64 {
+        let note = format!("{i:06}-{}", "x".repeat(100));
+        db.txn_insert(txn, "account", row![i, i * 7, note]).unwrap();
+    }
+    db.txn_commit(txn).unwrap();
+    let grown = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len() - log_before;
+    assert!(
+        grown > 4 * APPEND_CHUNK_BYTES as u64,
+        "batch spans several chunks: {grown} bytes"
+    );
+    // Every insert plus the commit marker is counted once.
+    let scan = scan_wal(&std::fs::read(dir.join(WAL_FILE)).unwrap())
+        .unwrap()
+        .expect("log exists");
+    assert_eq!(scan.records.len() as u64, db.wal_appended_records());
+    assert!(db.wal_appended_records() - records_before > 3000);
+    let expect = observed_state(&db);
+    drop(db);
+    let reopened = open_fast(&dir);
+    assert_eq!(reopened.table("account").unwrap().len(), 3000);
+    assert_eq!(observed_state(&reopened), expect);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
