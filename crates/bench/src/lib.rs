@@ -1,8 +1,7 @@
 //! Shared helpers for the CAT benchmark/experiment harness.
 //!
-//! Every bench target prints the paper-style table it reproduces (see
-//! DESIGN.md's experiment index and EXPERIMENTS.md for recorded results)
-//! in addition to any criterion timings.
+//! Every bench target prints the paper-style table it reproduces. Turn
+//! latency end to end is measured by `perfbench/` instead.
 
 /// Render one row of an aligned text table.
 pub fn row(cells: &[String], widths: &[usize]) -> String {

@@ -1,6 +1,8 @@
 //! Relational flights database — the "ATIS dataset" side of the paper's
-//! policy evaluation, rebuilt as an OLTP database (real ATIS is an LDC
-//! corpus; see DESIGN.md for the substitution rationale).
+//! policy evaluation, rebuilt as an OLTP database. Real ATIS is an LDC
+//! corpus behind a licence and holds utterances, not tables; the policy
+//! experiments need a flight schema with realistic value skew to ask
+//! questions over, which a seeded generator provides.
 
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;

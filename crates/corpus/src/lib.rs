@@ -8,8 +8,10 @@
 //! * [`flightdb`] — a relational flight database standing in for the ATIS
 //!   domain in the policy experiments.
 //! * [`atis`] — a synthetic ATIS-like slot-annotated NLU corpus with the
-//!   real corpus' intent skew (real ATIS is licence-gated; DESIGN.md
-//!   documents the substitution).
+//!   real corpus' intent skew. Real ATIS is an LDC corpus behind a
+//!   licence, so it cannot ship with the repository; the experiments
+//!   need only its shape (intent skew, a closed entity inventory, slot
+//!   annotations), which the generator reproduces from a seed.
 //! * [`names`] — the deterministic entity banks behind the generators.
 
 pub mod atis;

@@ -9,9 +9,10 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::error::{Result, TxdbError};
 use crate::predicate::Predicate;
-use crate::procedure::{ProcOp, ProcOutcome, Procedure};
+use crate::procedure::{ParamExpr, ProcOp, ProcOutcome, Procedure};
 use crate::row::{Row, RowId};
 use crate::schema::TableSchema;
+use crate::sql::{delete_where, insert_values, update_where};
 use crate::stats::TableStats;
 use crate::table::Table;
 use crate::txn::{Snapshot, Transaction, TxnManager};
@@ -492,108 +493,78 @@ impl Database {
     /// as a single-op transaction so concurrent snapshots never see it
     /// early.
     pub fn insert(&mut self, table: &str, row: Row) -> Result<RowId> {
-        if self.txns.active_count() == 0 {
-            self.check_fk_parents(table, &row, None)?;
-            if self.wal.is_none() {
-                return self.table_mut(table)?.insert(row);
-            }
-            let logged = row.clone();
-            let rid = self.table_mut(table)?.insert(row)?;
-            if let Err(e) = self.log_append(&[ChangeRecord::Insert {
-                txn: AUTOCOMMIT_TXN,
-                table: table.to_string(),
-                rid,
-                row: logged,
-            }]) {
-                // Atomicity: the row is not durable, so it must not stay
-                // visible either.
-                if let Ok(t) = self.table_mut(table) {
-                    t.remove_physical(rid);
-                }
-                return Err(e);
-            }
-            return Ok(rid);
+        if self.has_active_txns() {
+            return self.in_txn(|db, txn| db.txn_insert(txn, table, row));
         }
-        let txn = self.txn_begin();
-        match self.txn_insert(txn, table, row) {
-            Ok(rid) => {
-                self.txn_commit(txn)?;
-                Ok(rid)
-            }
-            Err(e) => {
-                let _ = self.txn_rollback(txn);
-                Err(e)
-            }
+        self.check_fk_parents(table, &row, None)?;
+        if self.wal.is_none() {
+            return self.table_mut(table)?.insert(row);
         }
+        let logged = row.clone();
+        let rid = self.table_mut(table)?.insert(row)?;
+        if let Err(e) = self.log_append(&[ChangeRecord::Insert {
+            txn: AUTOCOMMIT_TXN,
+            table: table.to_string(),
+            rid,
+            row: logged,
+        }]) {
+            // Atomicity: the row is not durable, so it must not stay
+            // visible either.
+            if let Ok(t) = self.table_mut(table) {
+                t.remove_physical(rid);
+            }
+            return Err(e);
+        }
+        Ok(rid)
     }
 
     /// Delete a row, enforcing referential integrity (RESTRICT).
     /// Auto-commits like [`Database::insert`].
     pub fn delete(&mut self, table: &str, rid: RowId) -> Result<Row> {
-        if self.txns.active_count() == 0 {
-            self.check_fk_children(table, rid, None)?;
-            let row = self.table_mut(table)?.delete(rid)?;
-            if let Err(e) = self.log_append(&[ChangeRecord::Delete {
-                txn: AUTOCOMMIT_TXN,
-                table: table.to_string(),
-                rid,
-            }]) {
-                if let Ok(t) = self.table_mut(table) {
-                    t.replay_insert(rid, row);
-                }
-                return Err(e);
-            }
-            return Ok(row);
+        if self.has_active_txns() {
+            return self.in_txn(|db, txn| db.txn_delete(txn, table, rid));
         }
-        let txn = self.txn_begin();
-        match self.txn_delete(txn, table, rid) {
-            Ok(row) => {
-                self.txn_commit(txn)?;
-                Ok(row)
+        self.check_fk_children(table, rid, None)?;
+        let row = self.table_mut(table)?.delete(rid)?;
+        if let Err(e) = self.log_append(&[ChangeRecord::Delete {
+            txn: AUTOCOMMIT_TXN,
+            table: table.to_string(),
+            rid,
+        }]) {
+            if let Ok(t) = self.table_mut(table) {
+                t.replay_insert(rid, row);
             }
-            Err(e) => {
-                let _ = self.txn_rollback(txn);
-                Err(e)
-            }
+            return Err(e);
         }
+        Ok(row)
     }
 
     /// Update one column of a row, enforcing foreign keys.
     /// Auto-commits like [`Database::insert`].
     pub fn update(&mut self, table: &str, rid: RowId, column: &str, value: Value) -> Result<Value> {
-        if self.txns.active_count() == 0 {
-            self.check_fk_update(table, rid, column, &value, None)?;
-            if self.wal.is_none() {
-                return self.table_mut(table)?.update(rid, column, value);
-            }
-            let logged = value.clone();
-            let old = self.table_mut(table)?.update(rid, column, value)?;
-            if let Err(e) = self.log_append(&[ChangeRecord::Update {
-                txn: AUTOCOMMIT_TXN,
-                table: table.to_string(),
-                rid,
-                column: column.to_string(),
-                value: logged,
-                pushed: true,
-            }]) {
-                if let Ok(t) = self.table_mut(table) {
-                    let _ = t.replay_update(rid, column, old);
-                }
-                return Err(e);
-            }
-            return Ok(old);
+        if self.has_active_txns() {
+            return self.in_txn(|db, txn| db.txn_update(txn, table, rid, column, value));
         }
-        let txn = self.txn_begin();
-        match self.txn_update(txn, table, rid, column, value) {
-            Ok(old) => {
-                self.txn_commit(txn)?;
-                Ok(old)
-            }
-            Err(e) => {
-                let _ = self.txn_rollback(txn);
-                Err(e)
-            }
+        self.check_fk_update(table, rid, column, &value, None)?;
+        if self.wal.is_none() {
+            return self.table_mut(table)?.update(rid, column, value);
         }
+        let logged = value.clone();
+        let old = self.table_mut(table)?.update(rid, column, value)?;
+        if let Err(e) = self.log_append(&[ChangeRecord::Update {
+            txn: AUTOCOMMIT_TXN,
+            table: table.to_string(),
+            rid,
+            column: column.to_string(),
+            value: logged,
+            pushed: true,
+        }]) {
+            if let Ok(t) = self.table_mut(table) {
+                let _ = t.replay_update(rid, column, old);
+            }
+            return Err(e);
+        }
+        Ok(old)
     }
 
     /// Rows matching a predicate (cloned out of storage). Access-path
@@ -634,7 +605,7 @@ impl Database {
     }
 
     /// Begin an explicit transaction. All operations through the returned
-    /// handle are rolled back unless `commit` is called.
+    /// handle are rolled back unless [`Transaction::try_commit`] succeeds.
     pub fn begin(&mut self) -> Transaction<'_> {
         Transaction::new(self)
     }
@@ -643,17 +614,104 @@ impl Database {
     pub fn call(&mut self, name: &str, args: &[(String, Value)]) -> Result<ProcOutcome> {
         let proc = self.procedure(name)?.clone();
         let bound = proc.bind_args(args)?;
-        let mut txn = self.begin();
-        let outcome = txn.run_procedure(&proc, &bound)?;
-        txn.try_commit()?;
+        self.in_txn(|db, txn| db.run_procedure(txn, &proc, &bound))
+    }
+
+    /// Execute a procedure's ops inside transaction `txn` with bound
+    /// (validated) arguments. Writes go through the same DML helpers as
+    /// SQL, so `rows_affected` counts what SQL's row counts count.
+    fn run_procedure(
+        &mut self,
+        txn: u64,
+        proc: &Procedure,
+        bound: &[(String, Value)],
+    ) -> Result<ProcOutcome> {
+        let resolve = |expr: &ParamExpr| expr.resolve(proc.name(), bound);
+        let filter_predicate = |filter: &[(String, ParamExpr)]| -> Result<Predicate> {
+            let mut pred = Predicate::True;
+            for (col, expr) in filter {
+                pred = pred.and(Predicate::eq(col.clone(), resolve(expr)?));
+            }
+            Ok(pred)
+        };
+        let mut outcome = ProcOutcome::default();
+        for op in proc.ops() {
+            match op {
+                ProcOp::Insert {
+                    table,
+                    columns,
+                    values,
+                } => {
+                    let values: Vec<Value> = values.iter().map(resolve).collect::<Result<_>>()?;
+                    insert_values(self, txn, table, Some(columns), &values)?;
+                    outcome.rows_affected += 1;
+                }
+                ProcOp::Delete { table, filter } => {
+                    outcome.rows_affected +=
+                        delete_where(self, txn, table, &filter_predicate(filter)?)?;
+                }
+                ProcOp::Update { table, set, filter } => {
+                    let set: Vec<(String, Value)> = set
+                        .iter()
+                        .map(|(col, expr)| Ok((col.clone(), resolve(expr)?)))
+                        .collect::<Result<_>>()?;
+                    let pred = filter_predicate(filter)?;
+                    outcome.rows_affected += update_where(self, txn, table, &pred, &set)?;
+                }
+                ProcOp::Select {
+                    table,
+                    filter,
+                    columns,
+                } => {
+                    let pred = filter_predicate(filter)?;
+                    let schema = self.schema_of(table)?;
+                    let proj: Vec<usize> = match columns {
+                        Some(cols) => cols
+                            .iter()
+                            .map(|c| schema.require_column(c))
+                            .collect::<Result<_>>()?,
+                        None => (0..schema.arity()).collect(),
+                    };
+                    outcome.columns = match columns {
+                        Some(cols) => cols.clone(),
+                        None => schema.columns().iter().map(|c| c.name.clone()).collect(),
+                    };
+                    for (_, row) in self.txn_select(txn, table, &pred)? {
+                        outcome
+                            .rows
+                            .push(proj.iter().map(|&i| row.get(i).cloned().unwrap()).collect());
+                    }
+                }
+            }
+        }
         Ok(outcome)
+    }
+
+    /// Run `f` inside a fresh transaction: commit when it succeeds —
+    /// surfacing a failed log append, which unwinds the transaction —
+    /// and roll back when it fails. The one commit-or-rollback wrapper
+    /// behind procedure calls, SQL autocommit DML and the typed writes
+    /// that cannot take the pristine fast path.
+    pub(crate) fn in_txn<R>(
+        &mut self,
+        f: impl FnOnce(&mut Database, u64) -> Result<R>,
+    ) -> Result<R> {
+        let txn = self.txn_begin();
+        match f(self, txn) {
+            Ok(r) => self.txn_commit(txn).map(|()| r),
+            Err(e) => {
+                let _ = self.txn_rollback(txn);
+                Err(e)
+            }
+        }
     }
 
     // ----- MVCC transaction API (id-based) -----
     //
-    // `Transaction` is a convenience wrapper over these; SQL sessions
-    // use the ids directly so a transaction can stay open across
-    // statements without holding a borrow on the database.
+    // Every transactional write lands here: `Transaction` is an RAII
+    // guard over these ids, and SQL sessions hold the raw id so a
+    // transaction can stay open across statements without holding a
+    // borrow on the database.
 
     /// Start a transaction, returning its id. The transaction's snapshot
     /// is cut now; it must be finished with [`Database::txn_commit`] or

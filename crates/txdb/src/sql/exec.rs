@@ -17,8 +17,9 @@
 //! scoped worker threads over contiguous morsels whose partial outputs
 //! merge back into the canonical ascending-RowId order, so parallel
 //! execution stays byte-identical to `worker_threads = 1`. This module
-//! keeps statement dispatch, script splitting and the `plan → lower →
-//! drive` glue; the per-operator execution logic lives in [`super::ops`].
+//! keeps statement dispatch, script splitting, the DML interpreter that
+//! stored procedures share, and the `plan → lower → drive` glue; the
+//! per-operator execution logic lives in [`super::ops`].
 //!
 //! Join reordering is invisible in results: both executors traverse index
 //! buckets in ascending-RowId order, which makes the reference output the
@@ -37,8 +38,9 @@ use crate::error::{Result, TxdbError};
 use crate::index::OrdKey;
 use crate::predicate::Predicate;
 use crate::row::{Row, RowId};
+use crate::schema::TableSchema;
 use crate::table::Table;
-use crate::value::{DataType, Value};
+use crate::value::Value;
 
 use super::ast::{Projection, SelectItem, SelectStmt, SqlExpr, Statement};
 use super::budget::ExecBudget;
@@ -171,66 +173,13 @@ fn execute_statement(db: &mut Database, stmt: Statement) -> Result<QueryResult> 
             db.create_table(schema)?;
             Ok(QueryResult::Created)
         }
-        Statement::Insert {
-            table,
-            columns,
-            rows,
-        } => {
-            let schema = db.schema_of(&table)?.clone();
-            let mut txn = db.begin();
-            let mut n = 0;
-            for literal_row in rows {
-                let cells = coerce_insert_row(&schema, &table, columns.as_ref(), literal_row)?;
-                txn.insert(&table, Row::new(cells))?;
-                n += 1;
-            }
-            txn.try_commit()?;
-            Ok(QueryResult::Inserted(n))
-        }
         Statement::Select(sel) => execute_select(db, &sel).map(QueryResult::Rows),
         Statement::Explain { analyze, select } => {
             explain_select_with(db, &select, &PlanOptions::default(), analyze)
                 .map(QueryResult::Rows)
         }
-        Statement::Update {
-            table,
-            set,
-            where_clause,
-        } => {
-            let pred = single_table_predicate(db, &table, where_clause.as_ref())?;
-            let rids: Vec<RowId> = db
-                .select(&table, &pred)?
-                .into_iter()
-                .map(|(r, _)| r)
-                .collect();
-            let schema = db.schema_of(&table)?.clone();
-            let mut txn = db.begin();
-            for rid in &rids {
-                for (col, v) in &set {
-                    let idx = schema.require_column(col)?;
-                    let coerced = coerce_literal_to(v, schema.columns()[idx].ty)?;
-                    txn.update(&table, *rid, col, coerced)?;
-                }
-            }
-            txn.try_commit()?;
-            Ok(QueryResult::Updated(rids.len()))
-        }
-        Statement::Delete {
-            table,
-            where_clause,
-        } => {
-            let pred = single_table_predicate(db, &table, where_clause.as_ref())?;
-            let rids: Vec<RowId> = db
-                .select(&table, &pred)?
-                .into_iter()
-                .map(|(r, _)| r)
-                .collect();
-            let mut txn = db.begin();
-            for rid in &rids {
-                txn.delete(&table, *rid)?;
-            }
-            txn.try_commit()?;
-            Ok(QueryResult::Deleted(rids.len()))
+        Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. } => {
+            db.in_txn(|db, txn| execute_statement_in(db, stmt, txn))
         }
         Statement::Begin | Statement::Commit | Statement::Rollback => Err(TxdbError::InvalidValue(
             "transaction control statements require a session — use Session::execute".into(),
@@ -238,47 +187,6 @@ fn execute_statement(db: &mut Database, stmt: Statement) -> Result<QueryResult> 
         Statement::Checkpoint => {
             db.checkpoint()?;
             Ok(QueryResult::Checkpointed)
-        }
-    }
-}
-
-/// Coerce one `INSERT` literal row to the table's schema, honoring an
-/// optional explicit column list (unlisted columns become NULL).
-fn coerce_insert_row(
-    schema: &crate::schema::TableSchema,
-    table: &str,
-    columns: Option<&Vec<String>>,
-    literal_row: Vec<Value>,
-) -> Result<Vec<Value>> {
-    match columns {
-        None => {
-            if literal_row.len() != schema.arity() {
-                return Err(TxdbError::ArityMismatch {
-                    table: table.to_string(),
-                    expected: schema.arity(),
-                    got: literal_row.len(),
-                });
-            }
-            literal_row
-                .into_iter()
-                .zip(schema.columns())
-                .map(|(v, c)| coerce_literal_to(&v, c.ty))
-                .collect()
-        }
-        Some(cols) => {
-            let mut cells = vec![Value::Null; schema.arity()];
-            if cols.len() != literal_row.len() {
-                return Err(TxdbError::ArityMismatch {
-                    table: table.to_string(),
-                    expected: cols.len(),
-                    got: literal_row.len(),
-                });
-            }
-            for (col, v) in cols.iter().zip(literal_row) {
-                let idx = schema.require_column(col)?;
-                cells[idx] = coerce_literal_to(&v, schema.columns()[idx].ty)?;
-            }
-            Ok(cells)
         }
     }
 }
@@ -365,12 +273,9 @@ fn execute_statement_in(db: &mut Database, stmt: Statement, txn: u64) -> Result<
             columns,
             rows,
         } => {
-            let schema = db.schema_of(&table)?.clone();
-            let mut n = 0;
-            for literal_row in rows {
-                let cells = coerce_insert_row(&schema, &table, columns.as_ref(), literal_row)?;
-                db.txn_insert(txn, &table, Row::new(cells))?;
-                n += 1;
+            let n = rows.len();
+            for values in &rows {
+                insert_values(db, txn, &table, columns.as_deref(), values)?;
             }
             Ok(QueryResult::Inserted(n))
         }
@@ -392,35 +297,14 @@ fn execute_statement_in(db: &mut Database, stmt: Statement, txn: u64) -> Result<
             where_clause,
         } => {
             let pred = single_table_predicate(db, &table, where_clause.as_ref())?;
-            let rids: Vec<RowId> = db
-                .txn_select(txn, &table, &pred)?
-                .into_iter()
-                .map(|(r, _)| r)
-                .collect();
-            let schema = db.schema_of(&table)?.clone();
-            for rid in &rids {
-                for (col, v) in &set {
-                    let idx = schema.require_column(col)?;
-                    let coerced = coerce_literal_to(v, schema.columns()[idx].ty)?;
-                    db.txn_update(txn, &table, *rid, col, coerced)?;
-                }
-            }
-            Ok(QueryResult::Updated(rids.len()))
+            update_where(db, txn, &table, &pred, &set).map(QueryResult::Updated)
         }
         Statement::Delete {
             table,
             where_clause,
         } => {
             let pred = single_table_predicate(db, &table, where_clause.as_ref())?;
-            let rids: Vec<RowId> = db
-                .txn_select(txn, &table, &pred)?
-                .into_iter()
-                .map(|(r, _)| r)
-                .collect();
-            for rid in &rids {
-                db.txn_delete(txn, &table, *rid)?;
-            }
-            Ok(QueryResult::Deleted(rids.len()))
+            delete_where(db, txn, &table, &pred).map(QueryResult::Deleted)
         }
         Statement::Begin | Statement::Commit | Statement::Rollback => {
             unreachable!("control statements handled by Session::execute")
@@ -436,6 +320,92 @@ fn execute_statement_in(db: &mut Database, stmt: Statement, txn: u64) -> Result<
     }
 }
 
+// ===== DML shared by SQL and stored procedures =====
+//
+// SQL autocommit (inside `Database::in_txn`), SQL sessions and the
+// procedure interpreter all write through these three helpers and the
+// `txn_*` API underneath, so an INSERT, UPDATE or DELETE means one thing
+// whichever door it comes through.
+
+/// `value` coerced to the type of `schema`'s `column`, with the column's
+/// position — the one place a written or compared value meets its
+/// column type.
+fn coerce_to_column(schema: &TableSchema, column: &str, value: &Value) -> Result<(usize, Value)> {
+    let idx = schema.require_column(column)?;
+    Ok((idx, value.coerce_to(schema.columns()[idx].ty)?))
+}
+
+/// Insert one row of `values` into `table` inside `txn`. With a column
+/// list the values go to those columns and the rest are NULL; without
+/// one they cover every column in schema order.
+pub(crate) fn insert_values(
+    db: &mut Database,
+    txn: u64,
+    table: &str,
+    columns: Option<&[String]>,
+    values: &[Value],
+) -> Result<RowId> {
+    let schema = db.schema_of(table)?;
+    let expected = columns.map_or(schema.arity(), <[String]>::len);
+    if values.len() != expected {
+        return Err(TxdbError::ArityMismatch {
+            table: table.to_string(),
+            expected,
+            got: values.len(),
+        });
+    }
+    let mut cells = vec![Value::Null; schema.arity()];
+    for (i, v) in values.iter().enumerate() {
+        let column = columns.map_or(&schema.columns()[i].name, |cols| &cols[i]);
+        let (idx, v) = coerce_to_column(schema, column, v)?;
+        cells[idx] = v;
+    }
+    db.txn_insert(txn, table, Row::new(cells))
+}
+
+/// The rows of `table` matching `pred` in `txn`'s snapshot.
+fn matching_rids(db: &Database, txn: u64, table: &str, pred: &Predicate) -> Result<Vec<RowId>> {
+    Ok(db
+        .txn_select(txn, table, pred)?
+        .into_iter()
+        .map(|(rid, _)| rid)
+        .collect())
+}
+
+/// Set each `(column, value)` of `set` on every row of `table` matching
+/// `pred` in `txn`'s snapshot. Returns the number of rows matched.
+pub(crate) fn update_where(
+    db: &mut Database,
+    txn: u64,
+    table: &str,
+    pred: &Predicate,
+    set: &[(String, Value)],
+) -> Result<usize> {
+    let rids = matching_rids(db, txn, table, pred)?;
+    for &rid in &rids {
+        for (column, v) in set {
+            let (_, v) = coerce_to_column(db.schema_of(table)?, column, v)?;
+            db.txn_update(txn, table, rid, column, v)?;
+        }
+    }
+    Ok(rids.len())
+}
+
+/// Delete every row of `table` matching `pred` in `txn`'s snapshot.
+/// Returns the number of rows deleted.
+pub(crate) fn delete_where(
+    db: &mut Database,
+    txn: u64,
+    table: &str,
+    pred: &Predicate,
+) -> Result<usize> {
+    let rids = matching_rids(db, txn, table, pred)?;
+    for &rid in &rids {
+        db.txn_delete(txn, table, rid)?;
+    }
+    Ok(rids.len())
+}
+
 /// Convert a `WHERE` expression on a single table into an engine predicate,
 /// coercing literals to the column types (so `date = '2022-01-01'` works).
 fn single_table_predicate(db: &Database, table: &str, expr: Option<&SqlExpr>) -> Result<Predicate> {
@@ -443,17 +413,13 @@ fn single_table_predicate(db: &Database, table: &str, expr: Option<&SqlExpr>) ->
         return Ok(Predicate::True);
     };
     let schema = db.schema_of(table)?;
-    fn convert(schema: &crate::schema::TableSchema, e: &SqlExpr) -> Result<Predicate> {
+    fn convert(schema: &TableSchema, e: &SqlExpr) -> Result<Predicate> {
         Ok(match e {
-            SqlExpr::Cmp { column, op, value } => {
-                let idx = schema.require_column(&column.column)?;
-                let coerced = coerce_literal_to(value, schema.columns()[idx].ty)?;
-                Predicate::Cmp {
-                    column: column.column.clone(),
-                    op: *op,
-                    value: coerced,
-                }
-            }
+            SqlExpr::Cmp { column, op, value } => Predicate::Cmp {
+                column: column.column.clone(),
+                op: *op,
+                value: coerce_to_column(schema, &column.column, value)?.1,
+            },
             SqlExpr::Like { column, pattern } => {
                 Predicate::contains(column.column.clone(), pattern.clone())
             }
@@ -473,10 +439,6 @@ fn single_table_predicate(db: &Database, table: &str, expr: Option<&SqlExpr>) ->
         })
     }
     convert(schema, expr)
-}
-
-fn coerce_literal_to(v: &Value, ty: DataType) -> Result<Value> {
-    v.coerce_to(ty)
 }
 
 // ===== planned execution: plan → lower → drive =====

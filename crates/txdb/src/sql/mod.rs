@@ -51,6 +51,7 @@ pub use ast::{
     AggFunc, ColumnRef, JoinClause, Projection, SelectItem, SelectStmt, SqlExpr, Statement,
 };
 pub use budget::ExecBudget;
+pub(crate) use exec::{delete_where, insert_values, update_where};
 pub use exec::{
     execute, execute_script, execute_select_at, execute_select_reference,
     execute_select_reference_at, execute_select_with, explain_select_with, QueryResult, ResultSet,

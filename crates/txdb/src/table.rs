@@ -102,6 +102,20 @@ fn bucket_insert(bucket: &mut Vec<RowId>, rid: RowId) {
     }
 }
 
+/// Primary-key tuple of `row` under `schema` (empty if no declared PK).
+/// A free function so cell writers can read it while holding the row
+/// mutably.
+fn pk_tuple(schema: &TableSchema, row: &Row) -> Vec<Value> {
+    schema
+        .primary_key()
+        .iter()
+        .map(|c| {
+            let idx = schema.column_index(c).expect("validated schema");
+            row.get(idx).cloned().unwrap_or(Value::Null)
+        })
+        .collect()
+}
+
 impl Table {
     /// Create an empty table. Secondary indexes are automatically created
     /// for every primary-key, unique and foreign-key column.
@@ -355,20 +369,22 @@ impl Table {
 
     /// Primary-key tuple of a row (empty if no declared PK).
     pub fn pk_of(&self, row: &Row) -> Vec<Value> {
-        self.schema
-            .primary_key()
-            .iter()
-            .map(|c| {
-                let idx = self.schema.column_index(c).expect("validated schema");
-                row.get(idx).cloned().unwrap_or(Value::Null)
-            })
-            .collect()
+        pk_tuple(&self.schema, row)
     }
 
     /// Insert a row, enforcing type, NOT NULL, PK and UNIQUE constraints.
     /// (Foreign keys are enforced one level up by the database, which can
     /// see the referenced tables.)
     pub fn insert(&mut self, row: Row) -> Result<RowId> {
+        let rid = self.insert_checked(row)?;
+        self.committed_version += 1;
+        Ok(rid)
+    }
+
+    /// The constraint checks, row-id allocation and indexing shared by
+    /// [`Table::insert`] and [`Table::mvcc_insert`], which differ only
+    /// in how they account for the new version.
+    fn insert_checked(&mut self, row: Row) -> Result<RowId> {
         self.validate_row(&row)?;
         let pk = self.pk_of(&row);
         if !pk.is_empty() && self.pk_index.contains_key(&pk) {
@@ -389,14 +405,7 @@ impl Table {
             }
         }
         let rid = RowId(self.next_row_id);
-        self.next_row_id += 1;
-        self.index_row(rid, &row);
-        if !pk.is_empty() {
-            self.pk_index.insert(pk, rid);
-        }
-        self.rows.insert(rid, row);
-        self.version += 1;
-        self.committed_version += 1;
+        self.insert_physical(rid, row);
         Ok(rid)
     }
 
@@ -413,21 +422,25 @@ impl Table {
 
     /// Delete a row by id, returning it.
     pub fn delete(&mut self, rid: RowId) -> Result<Row> {
-        let row = self.rows.remove(&rid).ok_or_else(|| TxdbError::NoSuchRow {
-            table: self.schema.name().to_string(),
-        })?;
-        self.unindex_row(rid, &row);
-        let pk = self.pk_of(&row);
-        if !pk.is_empty() {
-            self.pk_index.remove(&pk);
-        }
-        self.version += 1;
+        let row = self
+            .remove_physical(rid)
+            .ok_or_else(|| TxdbError::NoSuchRow {
+                table: self.schema.name().to_string(),
+            })?;
         self.committed_version += 1;
         Ok(row)
     }
 
     /// Update one column of a row, returning the previous value.
     pub fn update(&mut self, rid: RowId, column: &str, value: Value) -> Result<Value> {
+        self.validate_update(rid, column, &value)?;
+        self.replay_update(rid, column, value)
+    }
+
+    /// The NOT NULL, type, presence and uniqueness checks shared by
+    /// [`Table::update`] and [`Table::mvcc_update`]. Returns the column's
+    /// position. Uniqueness is judged against the *other* rows.
+    fn validate_update(&self, rid: RowId, column: &str, value: &Value) -> Result<usize> {
         let idx = self.schema.require_column(column)?;
         let col = &self.schema.columns()[idx];
         if value.is_null() && !col.nullable {
@@ -448,55 +461,16 @@ impl Table {
                 table: self.schema.name().to_string(),
             });
         }
-        // Uniqueness / PK checks against the *other* rows.
         let is_unique = col.unique || self.schema.is_pk_column(column);
         if is_unique && !value.is_null() {
-            if let Some(existing) = self.lookup(column, &value)?.iter().find(|&&r| r != rid) {
+            if let Some(existing) = self.lookup(column, value)?.iter().find(|&&r| r != rid) {
                 return Err(TxdbError::DuplicateKey {
                     table: self.schema.name().to_string(),
                     key: format!("{column}={value} (held by {existing})"),
                 });
             }
         }
-        let row = self.rows.get_mut(&rid).expect("presence checked");
-        let old_pk_needed = self.schema.is_pk_column(column);
-        let old_row_pk = if old_pk_needed {
-            Some(row.clone())
-        } else {
-            None
-        };
-        let old = row.set(idx, value.clone()).expect("index in range");
-        // Maintain secondary indexes.
-        let row_snapshot = row.clone();
-        if let Some(map) = self.indexes.get_mut(column) {
-            if !old.is_null() {
-                if let Some(ids) = map.get_mut(&old) {
-                    ids.retain(|&r| r != rid);
-                    if ids.is_empty() {
-                        map.remove(&old);
-                    }
-                }
-            }
-            if !value.is_null() {
-                bucket_insert(map.entry(value.clone()).or_default(), rid);
-            }
-        }
-        if let Some(index) = self.range_indexes.get_mut(column) {
-            index.remove(&old, rid);
-            index.insert(value, rid);
-        }
-        // Maintain PK index.
-        if let Some(old_row) = old_row_pk {
-            let old_pk = self.pk_of(&old_row);
-            let new_pk = self.pk_of(&row_snapshot);
-            if old_pk != new_pk {
-                self.pk_index.remove(&old_pk);
-                self.pk_index.insert(new_pk, rid);
-            }
-        }
-        self.version += 1;
-        self.committed_version += 1;
-        Ok(old)
+        Ok(idx)
     }
 
     /// Exact size of the hash-index bucket for `column = value`, or
@@ -864,32 +838,7 @@ impl Table {
     /// [`Table::insert`], but the new version is stamped `begin = txn`
     /// so it stays invisible to other snapshots until commit.
     pub(crate) fn mvcc_insert(&mut self, row: Row, txn: u64) -> Result<RowId> {
-        self.validate_row(&row)?;
-        let pk = self.pk_of(&row);
-        if !pk.is_empty() && self.pk_index.contains_key(&pk) {
-            return Err(TxdbError::DuplicateKey {
-                table: self.schema.name().to_string(),
-                key: format!("{pk:?}"),
-            });
-        }
-        for (i, col) in self.schema.columns().iter().enumerate() {
-            if col.unique && !self.schema.is_pk_column(&col.name) {
-                let v = row.get(i).expect("arity checked");
-                if !v.is_null() && !self.lookup(&col.name, v)?.is_empty() {
-                    return Err(TxdbError::DuplicateKey {
-                        table: self.schema.name().to_string(),
-                        key: format!("{}={v}", col.name),
-                    });
-                }
-            }
-        }
-        let rid = RowId(self.next_row_id);
-        self.next_row_id += 1;
-        self.index_row(rid, &row);
-        if !pk.is_empty() {
-            self.pk_index.insert(pk, rid);
-        }
-        self.rows.insert(rid, row);
+        let rid = self.insert_checked(row)?;
         self.stamps.insert(
             rid,
             Stamp {
@@ -897,7 +846,6 @@ impl Table {
                 end: LIVE_TXN,
             },
         );
-        self.version += 1;
         Ok(rid)
     }
 
@@ -914,48 +862,21 @@ impl Table {
         value: Value,
         txn: u64,
     ) -> Result<(Value, bool)> {
-        let idx = self.schema.require_column(column)?;
-        let col = &self.schema.columns()[idx];
-        if value.is_null() && !col.nullable {
-            return Err(TxdbError::NotNullViolation {
-                table: self.schema.name().to_string(),
-                column: column.to_string(),
-            });
-        }
-        if !value.conforms_to(col.ty) {
-            return Err(TxdbError::TypeMismatch {
-                expected: col.ty,
-                got: format!("{value}"),
-                context: format!("{}.{}", self.schema.name(), column),
-            });
-        }
-        let is_unique = col.unique || self.schema.is_pk_column(column);
-        if is_unique && !value.is_null() {
-            if let Some(existing) = self.lookup(column, &value)?.iter().find(|&&r| r != rid) {
-                return Err(TxdbError::DuplicateKey {
-                    table: self.schema.name().to_string(),
-                    key: format!("{column}={value} (held by {existing})"),
-                });
-            }
-        }
+        let idx = self.validate_update(rid, column, &value)?;
         let st = self.stamps.get(&rid).copied();
         if st.is_some_and(|s| s.begin == txn && s.end == LIVE_TXN) {
             // Own uncommitted version: edit in place, swapping index keys.
-            let old = self.set_cell(rid, idx, value).ok_or(TxdbError::NoSuchRow {
-                table: self.schema.name().to_string(),
-            })?;
+            let old = self.set_cell(rid, idx, value).expect("presence checked");
             return Ok((old, false));
         }
-        let old_row = self
-            .rows
-            .get(&rid)
-            .cloned()
-            .ok_or_else(|| TxdbError::NoSuchRow {
-                table: self.schema.name().to_string(),
-            })?;
+        let row = self.rows.get_mut(&rid).expect("presence checked");
+        let old_pk = self
+            .schema
+            .is_pk_column(column)
+            .then(|| pk_tuple(&self.schema, row));
         self.older.entry(rid).or_default().push(OldVersion {
             begin: st.map_or(0, |s| s.begin),
-            row: old_row.clone(),
+            row: row.clone(),
         });
         self.stamps.insert(
             rid,
@@ -964,9 +885,17 @@ impl Table {
                 end: LIVE_TXN,
             },
         );
-        let row = self.rows.get_mut(&rid).expect("presence checked");
         let old = row.set(idx, value.clone()).expect("index in range");
-        let new_row = row.clone();
+        // The PK index tracks the newest version's key.
+        if let Some(old_pk) = old_pk {
+            let new_pk = pk_tuple(&self.schema, row);
+            if old_pk != new_pk {
+                if self.pk_index.get(&old_pk) == Some(&rid) {
+                    self.pk_index.remove(&old_pk);
+                }
+                self.pk_index.insert(new_pk, rid);
+            }
+        }
         // The superseded version keeps its index keys (readers may still
         // resolve to it); the new version only *adds* its key.
         if let Some(map) = self.indexes.get_mut(column) {
@@ -976,17 +905,6 @@ impl Table {
         }
         if let Some(index) = self.range_indexes.get_mut(column) {
             index.insert(value, rid);
-        }
-        // The PK index tracks the newest version's key.
-        if self.schema.is_pk_column(column) {
-            let old_pk = self.pk_of(&old_row);
-            let new_pk = self.pk_of(&new_row);
-            if old_pk != new_pk {
-                if self.pk_index.get(&old_pk) == Some(&rid) {
-                    self.pk_index.remove(&old_pk);
-                }
-                self.pk_index.insert(new_pk, rid);
-            }
         }
         self.version += 1;
         Ok((old, true))
@@ -1015,8 +933,6 @@ impl Table {
 
     /// Roll back an insert: the stamped row vanishes entirely.
     pub(crate) fn mvcc_rollback_insert(&mut self, rid: RowId) {
-        self.stamps.remove(&rid);
-        self.older.remove(&rid);
         self.remove_physical(rid);
     }
 
@@ -1223,9 +1139,10 @@ impl Table {
         false
     }
 
-    // ----- physical operations used by MVCC rollback -----
-    // These bypass constraint checks (the state being restored was valid)
-    // but keep every index consistent.
+    // ----- physical row writers -----
+    // These bypass constraint checks (callers validated first, or are
+    // restoring state that was valid) but keep every index consistent.
+    // The checked writers above are these plus their validation.
 
     /// Re-insert a row under a specific id, bypassing constraint checks
     /// (the state being restored was valid when first written). Pins
@@ -1242,30 +1159,42 @@ impl Table {
         self.version += 1;
     }
 
-    /// Remove a row (rollback of an insert). Any MVCC state attached to
-    /// the slot goes with it.
-    pub(crate) fn remove_physical(&mut self, rid: RowId) {
+    /// Remove a row and every index entry for it, returning it (`None`
+    /// when the row does not exist). Any MVCC state attached to the slot
+    /// goes with it.
+    pub(crate) fn remove_physical(&mut self, rid: RowId) -> Option<Row> {
         self.stamps.remove(&rid);
         self.older.remove(&rid);
-        if let Some(row) = self.rows.remove(&rid) {
-            self.unindex_row(rid, &row);
-            let pk = self.pk_of(&row);
-            if !pk.is_empty() {
-                self.pk_index.remove(&pk);
-            }
-            self.version += 1;
+        let row = self.rows.remove(&rid)?;
+        self.unindex_row(rid, &row);
+        let pk = self.pk_of(&row);
+        if !pk.is_empty() {
+            self.pk_index.remove(&pk);
         }
+        self.version += 1;
+        Some(row)
     }
 
     /// Overwrite one cell in place, swapping index keys and fixing the
-    /// PK entry, without constraint checks. Returns the previous value
-    /// (`None` when the row does not exist).
+    /// PK entry, without constraint checks — the one cell writer behind
+    /// [`Table::update`], log replay and in-place MVCC edits. Returns the
+    /// previous value (`None` when the row does not exist).
     fn set_cell(&mut self, rid: RowId, col_idx: usize, value: Value) -> Option<Value> {
-        let col_name = self.schema.columns()[col_idx].name.clone();
+        let column = &self.schema.columns()[col_idx].name;
         let row = self.rows.get_mut(&rid)?;
+        let old_pk = self
+            .schema
+            .is_pk_column(column)
+            .then(|| pk_tuple(&self.schema, row));
         let old = row.set(col_idx, value.clone()).expect("index in range");
-        let new_row = row.clone();
-        if let Some(map) = self.indexes.get_mut(&col_name) {
+        if let Some(old_pk) = old_pk {
+            let new_pk = pk_tuple(&self.schema, row);
+            if old_pk != new_pk {
+                self.pk_index.remove(&old_pk);
+                self.pk_index.insert(new_pk, rid);
+            }
+        }
+        if let Some(map) = self.indexes.get_mut(column) {
             if !old.is_null() {
                 if let Some(ids) = map.get_mut(&old) {
                     ids.retain(|&r| r != rid);
@@ -1278,20 +1207,9 @@ impl Table {
                 bucket_insert(map.entry(value.clone()).or_default(), rid);
             }
         }
-        if let Some(index) = self.range_indexes.get_mut(&col_name) {
+        if let Some(index) = self.range_indexes.get_mut(column) {
             index.remove(&old, rid);
             index.insert(value, rid);
-        }
-        if self.schema.is_pk_column(&col_name) {
-            // Rebuild this row's PK entry.
-            let mut old_row = new_row.clone();
-            old_row.set(col_idx, old.clone());
-            let old_pk = self.pk_of(&old_row);
-            let new_pk = self.pk_of(&new_row);
-            if old_pk != new_pk {
-                self.pk_index.remove(&old_pk);
-                self.pk_index.insert(new_pk, rid);
-            }
         }
         self.version += 1;
         Some(old)
@@ -1307,8 +1225,9 @@ impl Table {
     }
 
     /// Overwrite one cell without constraint checks, keeping every index
-    /// and the committed-mutation counter consistent. Replay twin of
-    /// [`Table::update`] (the value was validated when it first committed).
+    /// and the committed-mutation counter consistent. [`Table::update`]
+    /// is this after its checks; log replay calls it directly (the value
+    /// was validated when it first committed).
     pub(crate) fn replay_update(
         &mut self,
         rid: RowId,

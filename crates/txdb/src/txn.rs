@@ -27,7 +27,6 @@ use std::collections::BTreeMap;
 
 use crate::error::Result;
 use crate::predicate::Predicate;
-use crate::procedure::{ProcOp, ProcOutcome, Procedure};
 use crate::row::{Row, RowId};
 use crate::value::Value;
 use crate::wal::ChangeRecord;
@@ -200,16 +199,18 @@ impl TxnManager {
     }
 }
 
-/// An open transaction handle. Mutations made through it are atomic and
-/// isolated: reads go through the transaction's own [`Snapshot`] (own
-/// writes included), and everything is rolled back when the handle
-/// drops without [`Transaction::commit`].
+/// An open transaction handle: an RAII guard over the id-based
+/// transaction API on [`Database`] (`txn_begin` / `txn_insert` / …).
+/// Every method delegates to the `txn_*` call of the same name, so
+/// mutations made through it are atomic and isolated exactly as there:
+/// reads go through the transaction's own [`Snapshot`] (own writes
+/// included). The guard's one addition is the end of the transaction:
+/// it is committed only by [`Transaction::try_commit`], and rolled back
+/// by [`Transaction::rollback`] or when the handle drops.
 ///
-/// This is a convenience wrapper over the id-based transaction API on
-/// [`Database`] (`txn_begin` / `txn_insert` / …) for callers that can
-/// hold the mutable borrow for the transaction's whole extent; sessions
-/// that interleave with other work (like the SQL shell) use the raw ids
-/// instead.
+/// The guard holds the mutable borrow for the transaction's whole
+/// extent; sessions that interleave with other work (like the SQL shell)
+/// hold the raw id instead.
 #[derive(Debug)]
 pub struct Transaction<'db> {
     db: &'db mut Database,
@@ -263,104 +264,18 @@ impl<'db> Transaction<'db> {
         self.db.txn_pending_ops(self.id)
     }
 
-    /// Execute a procedure's ops with bound (validated) arguments.
-    pub(crate) fn run_procedure(
-        &mut self,
-        proc: &Procedure,
-        bound: &[(String, Value)],
-    ) -> Result<ProcOutcome> {
-        let mut outcome = ProcOutcome::default();
-        for op in proc.ops() {
-            match op {
-                ProcOp::Insert {
-                    table,
-                    columns,
-                    values,
-                } => {
-                    let schema = self.db.schema_of(table)?.clone();
-                    let mut cells = vec![Value::Null; schema.arity()];
-                    for (col, expr) in columns.iter().zip(values) {
-                        let idx = schema.require_column(col)?;
-                        let v = expr.resolve(proc.name(), bound)?;
-                        cells[idx] = v.coerce_to(schema.columns()[idx].ty)?;
-                    }
-                    self.insert(table, Row::new(cells))?;
-                    outcome.rows_affected += 1;
-                }
-                ProcOp::Delete { table, filter } => {
-                    let pred = filter_predicate(proc, bound, filter)?;
-                    let rids: Vec<RowId> = self
-                        .select(table, &pred)?
-                        .into_iter()
-                        .map(|(r, _)| r)
-                        .collect();
-                    for rid in &rids {
-                        self.delete(table, *rid)?;
-                    }
-                    outcome.rows_affected += rids.len();
-                }
-                ProcOp::Update { table, set, filter } => {
-                    let pred = filter_predicate(proc, bound, filter)?;
-                    let rids: Vec<RowId> = self
-                        .select(table, &pred)?
-                        .into_iter()
-                        .map(|(r, _)| r)
-                        .collect();
-                    for rid in &rids {
-                        for (col, expr) in set {
-                            let v = expr.resolve(proc.name(), bound)?;
-                            self.update(table, *rid, col, v)?;
-                        }
-                    }
-                    outcome.rows_affected += rids.len();
-                }
-                ProcOp::Select {
-                    table,
-                    filter,
-                    columns,
-                } => {
-                    let pred = filter_predicate(proc, bound, filter)?;
-                    let schema = self.db.schema_of(table)?.clone();
-                    let proj: Vec<usize> = match columns {
-                        Some(cols) => cols
-                            .iter()
-                            .map(|c| schema.require_column(c))
-                            .collect::<Result<_>>()?,
-                        None => (0..schema.arity()).collect(),
-                    };
-                    outcome.columns = match columns {
-                        Some(cols) => cols.clone(),
-                        None => schema.columns().iter().map(|c| c.name.clone()).collect(),
-                    };
-                    for (_, row) in self.select(table, &pred)? {
-                        outcome
-                            .rows
-                            .push(proj.iter().map(|&i| row.get(i).cloned().unwrap()).collect());
-                    }
-                }
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Make all changes permanent.
-    pub fn commit(mut self) {
-        let _ = self.db.txn_commit(self.id);
-        self.finished = true;
-    }
-
-    /// [`Transaction::commit`], surfacing failure. On a durable database
-    /// a commit whose log append fails is rolled back — nothing was
-    /// published — and the error comes back here instead of vanishing.
+    /// Make all changes permanent. On a durable database a commit whose
+    /// log append fails is rolled back — nothing was published — and the
+    /// error comes back here; `Ok` means the writes are visible (and, on a
+    /// durable database, logged).
     pub fn try_commit(mut self) -> Result<()> {
         self.finished = true;
         self.db.txn_commit(self.id)
     }
 
     /// Explicitly roll back (equivalent to dropping the handle).
-    pub fn rollback(mut self) {
-        let _ = self.db.txn_rollback(self.id);
-        self.finished = true;
+    pub fn rollback(self) {
+        drop(self);
     }
 }
 
@@ -370,19 +285,6 @@ impl Drop for Transaction<'_> {
             let _ = self.db.txn_rollback(self.id);
         }
     }
-}
-
-fn filter_predicate(
-    proc: &Procedure,
-    bound: &[(String, Value)],
-    filter: &[(String, crate::procedure::ParamExpr)],
-) -> Result<Predicate> {
-    let mut pred = Predicate::True;
-    for (col, expr) in filter {
-        let v = expr.resolve(proc.name(), bound)?;
-        pred = pred.and(Predicate::eq(col.clone(), v));
-    }
-    Ok(pred)
 }
 
 #[cfg(test)]
@@ -413,7 +315,7 @@ mod tests {
         txn.insert("t", row![1, "a"]).unwrap();
         txn.insert("t", row![2, "b"]).unwrap();
         assert_eq!(txn.pending_ops(), 2);
-        txn.commit();
+        txn.try_commit().unwrap();
         assert_eq!(db.table("t").unwrap().len(), 2);
     }
 
@@ -463,7 +365,7 @@ mod tests {
         let mut txn = db.begin();
         txn.insert("t", row![1, "a"]).unwrap();
         assert_eq!(txn.select("t", &Predicate::eq("id", 1)).unwrap().len(), 1);
-        txn.commit();
+        txn.try_commit().unwrap();
     }
 
     #[test]

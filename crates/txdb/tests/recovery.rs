@@ -558,3 +558,218 @@ fn direct_write_is_atomic_under_append_failure() {
     assert_eq!(observed_state(&reopened), expect);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Reopen `dir` (dropping `db` first: the directory is locked while it
+/// lives) and require the recovered state to equal `expect`.
+fn assert_recovers(db: Database, dir: &Path, expect: &Shadow) {
+    drop(db);
+    let reopened = open_fast(dir);
+    assert_eq!(&observed_state(&reopened), expect, "recovered state");
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn transaction_handle_surfaces_a_failed_commit() {
+    let dir = scratch("fault-handle");
+    let mut db = open_fast(&dir);
+    db.create_table(accounts_schema()).unwrap();
+    db.insert("account", row![1, 10, Value::Null]).unwrap();
+    db.insert("account", row![2, 20, Value::Null]).unwrap();
+    let expect = observed_state(&db);
+    let (rid1, rid2) = (rid_of(&db, 1), rid_of(&db, 2));
+
+    db.wal_fail_appends_after(0);
+    let mut txn = db.begin();
+    txn.insert("account", row![3, 30, Value::Null]).unwrap();
+    txn.update("account", rid1, "balance", Value::Int(0))
+        .unwrap();
+    txn.delete("account", rid2).unwrap();
+    let err = txn.try_commit().unwrap_err();
+    assert!(matches!(err, TxdbError::Io { .. }), "got {err:?}");
+    assert!(!db.has_active_txns());
+    assert_eq!(observed_state(&db), expect, "failed commit leaked");
+    assert_recovers(db, &dir, &expect);
+}
+
+/// A cinema-like booking schema with the paper's reserve / cancel /
+/// change procedures, on a durable database.
+fn booking_db(dir: &Path) -> Database {
+    use cat_txdb::{ParamDef, ParamExpr, ProcOp, Procedure};
+    let mut db = open_fast(dir);
+    db.create_table(
+        TableSchema::builder("customer")
+            .column("customer_id", DataType::Int)
+            .column("name", DataType::Text)
+            .primary_key(&["customer_id"])
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    db.create_table(
+        TableSchema::builder("reservation")
+            .column("customer_id", DataType::Int)
+            .column("screening_id", DataType::Int)
+            .column("no_tickets", DataType::Int)
+            .primary_key(&["customer_id", "screening_id"])
+            .foreign_key("customer_id", "customer", "customer_id")
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    db.insert("customer", row![1, "Ada"]).unwrap();
+    db.insert("customer", row![2, "Grace"]).unwrap();
+    db.insert("reservation", row![1, 10, 2]).unwrap();
+    let key = |b: cat_txdb::procedure::ProcedureBuilder| {
+        b.param(ParamDef::entity(
+            "customer_id",
+            DataType::Int,
+            "customer",
+            "customer_id",
+        ))
+        .param(ParamDef::scalar("screening_id", DataType::Int))
+    };
+    let filter = || {
+        vec![
+            ("customer_id".to_string(), ParamExpr::param("customer_id")),
+            ("screening_id".to_string(), ParamExpr::param("screening_id")),
+        ]
+    };
+    let reserve = key(Procedure::builder("reserve"))
+        .param(ParamDef::scalar("no_tickets", DataType::Int))
+        .insert_params(
+            "reservation",
+            &["customer_id", "screening_id", "no_tickets"],
+        );
+    let cancel = key(Procedure::builder("cancel")).op(ProcOp::Delete {
+        table: "reservation".into(),
+        filter: filter(),
+    });
+    let change = key(Procedure::builder("change"))
+        .param(ParamDef::scalar("no_tickets", DataType::Int))
+        .op(ProcOp::Update {
+            table: "reservation".into(),
+            set: vec![("no_tickets".into(), ParamExpr::param("no_tickets"))],
+            filter: filter(),
+        });
+    for p in [reserve, cancel, change] {
+        db.register_procedure(p.build().unwrap()).unwrap();
+    }
+    db
+}
+
+#[test]
+fn procedure_call_is_atomic_under_append_failure() {
+    let args = |c: i64, s: i64, n: Option<i64>| {
+        let mut a = vec![
+            ("customer_id".to_string(), Value::Int(c)),
+            ("screening_id".to_string(), Value::Int(s)),
+        ];
+        a.extend(n.map(|n| ("no_tickets".to_string(), Value::Int(n))));
+        a
+    };
+    for (name, call_args) in [
+        ("reserve", args(2, 10, Some(3))),
+        ("cancel", args(1, 10, None)),
+        ("change", args(1, 10, Some(5))),
+    ] {
+        let dir = scratch(&format!("fault-call-{name}"));
+        let mut db = booking_db(&dir);
+        let expect = observed_state(&db);
+        db.wal_fail_appends_after(0);
+        let err = db.call(name, &call_args).unwrap_err();
+        assert!(matches!(err, TxdbError::Io { .. }), "{name}: got {err:?}");
+        assert!(!db.has_active_txns(), "{name}: transaction left open");
+        assert_eq!(observed_state(&db), expect, "{name}: failed call leaked");
+        assert_recovers(db, &dir, &expect);
+    }
+}
+
+#[test]
+fn procedure_call_logs_its_writes_between_begin_and_commit() {
+    let dir = scratch("call-records");
+    let mut db = booking_db(&dir);
+    let args = |n: i64| {
+        vec![
+            ("customer_id".to_string(), Value::Int(2)),
+            ("screening_id".to_string(), Value::Int(10)),
+            ("no_tickets".to_string(), Value::Int(n)),
+        ]
+    };
+    for (name, args) in [
+        ("reserve", args(3)),
+        ("change", args(4)),
+        ("cancel", args(4)[..2].to_vec()),
+    ] {
+        let before = db.wal_appended_records();
+        let outcome = db.call(name, &args).unwrap();
+        assert_eq!(outcome.rows_affected, 1, "{name}");
+        assert_eq!(
+            db.wal_appended_records() - before,
+            outcome.rows_affected as u64 + 2,
+            "{name}: Begin + one record per affected row + Commit"
+        );
+    }
+    let expect = observed_state(&db);
+    assert_recovers(db, &dir, &expect);
+}
+
+#[test]
+fn sql_autocommit_dml_is_atomic_under_append_failure() {
+    for stmt in [
+        "INSERT INTO account VALUES (3, 30, 'new')",
+        "UPDATE account SET balance = 0 WHERE id >= 1",
+        "DELETE FROM account WHERE id = 2",
+    ] {
+        let dir = scratch(&format!("fault-sql-{}", &stmt[..6]));
+        let mut db = open_fast(&dir);
+        db.create_table(accounts_schema()).unwrap();
+        db.insert("account", row![1, 10, Value::Null]).unwrap();
+        db.insert("account", row![2, 20, Value::Null]).unwrap();
+        let expect = observed_state(&db);
+        db.wal_fail_appends_after(0);
+        let err = cat_txdb::sql::execute(&mut db, stmt).unwrap_err();
+        assert!(matches!(err, TxdbError::Io { .. }), "{stmt}: got {err:?}");
+        assert!(!db.has_active_txns(), "{stmt}: transaction left open");
+        assert_eq!(observed_state(&db), expect, "{stmt}: failed write leaked");
+        assert_recovers(db, &dir, &expect);
+    }
+}
+
+#[test]
+fn single_op_transactions_are_atomic_under_append_failure() {
+    // With another transaction open, the typed writes run as single-op
+    // transactions instead of the pristine direct path.
+    type Write = fn(&mut Database) -> cat_txdb::Result<()>;
+    let writes: [(&str, Write); 3] = [
+        ("insert", |db| {
+            db.insert("account", row![3, 30, Value::Null]).map(drop)
+        }),
+        ("update", |db| {
+            let rid = rid_of(db, 1);
+            db.update("account", rid, "balance", Value::Int(0))
+                .map(drop)
+        }),
+        ("delete", |db| {
+            let rid = rid_of(db, 2);
+            db.delete("account", rid).map(drop)
+        }),
+    ];
+    for (name, write) in writes {
+        let dir = scratch(&format!("fault-single-op-{name}"));
+        let mut db = open_fast(&dir);
+        db.create_table(accounts_schema()).unwrap();
+        db.insert("account", row![1, 10, Value::Null]).unwrap();
+        db.insert("account", row![2, 20, Value::Null]).unwrap();
+        let expect = observed_state(&db);
+        let bystander = db.txn_begin();
+        db.wal_fail_appends_after(0);
+        let err = write(&mut db).unwrap_err();
+        assert!(matches!(err, TxdbError::Io { .. }), "{name}: got {err:?}");
+        assert_eq!(db.txns().active_count(), 1, "{name}: transaction left open");
+        assert!(db.txns().is_active(bystander));
+        db.txn_rollback(bystander).unwrap();
+        assert_eq!(observed_state(&db), expect, "{name}: failed write leaked");
+        assert_recovers(db, &dir, &expect);
+    }
+}

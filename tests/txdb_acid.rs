@@ -114,7 +114,7 @@ fn referential_integrity_is_global() {
         txn.delete("movie_actor", lr).unwrap();
     }
     txn.delete("movie", srid_movie).unwrap();
-    txn.commit();
+    txn.try_commit().unwrap();
     assert!(db.table("movie").unwrap().get(srid_movie).is_none());
 }
 
@@ -255,7 +255,7 @@ fn index_agrees_with_scan() {
         let ops = random_ops(&mut rng, 60);
         let mut txn = db.begin();
         apply(&mut txn, &ops);
-        txn.commit();
+        txn.try_commit().unwrap();
         let t = db.table("t").unwrap();
         let names: Vec<Value> = t.scan().map(|(_, r)| r.get(1).unwrap().clone()).collect();
         let probes = (0..50)
