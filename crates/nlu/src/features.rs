@@ -15,10 +15,15 @@ impl Vocabulary {
         Vocabulary::default()
     }
 
-    /// Id for a feature, inserting it if unseen (training time).
+    /// Id for a feature, inserting it if unseen (training time). Only an
+    /// unseen feature allocates.
     pub fn intern(&mut self, feature: &str) -> usize {
-        let next = self.map.len();
-        *self.map.entry(feature.to_string()).or_insert(next)
+        if let Some(&id) = self.map.get(feature) {
+            return id;
+        }
+        let id = self.map.len();
+        self.map.insert(feature.to_string(), id);
+        id
     }
 
     /// Id for a feature if known (prediction time).
@@ -32,6 +37,11 @@ impl Vocabulary {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+
+    /// Every `(feature, id)` pair, in no particular order.
+    pub fn into_entries(self) -> impl Iterator<Item = (String, usize)> {
+        self.map.into_iter()
     }
 }
 

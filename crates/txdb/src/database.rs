@@ -501,6 +501,7 @@ impl Database {
             return self.table_mut(table)?.insert(row);
         }
         let logged = row.clone();
+        let counters = self.table(table)?.version_counters();
         let rid = self.table_mut(table)?.insert(row)?;
         if let Err(e) = self.log_append(&[ChangeRecord::Insert {
             txn: AUTOCOMMIT_TXN,
@@ -512,6 +513,7 @@ impl Database {
             // visible either.
             if let Ok(t) = self.table_mut(table) {
                 t.remove_physical(rid);
+                t.set_version_counters(counters.0, counters.1, counters.2);
             }
             return Err(e);
         }
@@ -525,14 +527,18 @@ impl Database {
             return self.in_txn(|db, txn| db.txn_delete(txn, table, rid));
         }
         self.check_fk_children(table, rid, None)?;
+        let counters = self.table(table)?.version_counters();
         let row = self.table_mut(table)?.delete(rid)?;
         if let Err(e) = self.log_append(&[ChangeRecord::Delete {
             txn: AUTOCOMMIT_TXN,
             table: table.to_string(),
             rid,
         }]) {
+            // Put the row back physically and the counters where they
+            // were: the failed delete never happened.
             if let Ok(t) = self.table_mut(table) {
-                t.replay_insert(rid, row);
+                t.insert_physical(rid, row);
+                t.set_version_counters(counters.0, counters.1, counters.2);
             }
             return Err(e);
         }
@@ -550,6 +556,7 @@ impl Database {
             return self.table_mut(table)?.update(rid, column, value);
         }
         let logged = value.clone();
+        let counters = self.table(table)?.version_counters();
         let old = self.table_mut(table)?.update(rid, column, value)?;
         if let Err(e) = self.log_append(&[ChangeRecord::Update {
             txn: AUTOCOMMIT_TXN,
@@ -559,8 +566,11 @@ impl Database {
             value: logged,
             pushed: true,
         }]) {
+            // Restoring the counters takes back the credit the replayed
+            // write gives.
             if let Ok(t) = self.table_mut(table) {
                 let _ = t.replay_update(rid, column, old);
+                t.set_version_counters(counters.0, counters.1, counters.2);
             }
             return Err(e);
         }

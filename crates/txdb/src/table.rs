@@ -461,7 +461,21 @@ impl Table {
                 table: self.schema.name().to_string(),
             });
         }
-        let is_unique = col.unique || self.schema.is_pk_column(column);
+        let pk = self.schema.primary_key();
+        let is_pk = self.schema.is_pk_column(column);
+        if is_pk && pk.len() > 1 {
+            // A column of a composite key is judged by the whole new key.
+            let row = self.rows.get(&rid).expect("presence checked");
+            let mut key = pk_tuple(&self.schema, row);
+            key[pk.iter().position(|c| c == column).expect("a PK column")] = value.clone();
+            if let Some(&existing) = self.pk_index.get(&key).filter(|&&r| r != rid) {
+                return Err(TxdbError::DuplicateKey {
+                    table: self.schema.name().to_string(),
+                    key: format!("{key:?} (held by {existing})"),
+                });
+            }
+        }
+        let is_unique = col.unique || (is_pk && pk.len() == 1);
         if is_unique && !value.is_null() {
             if let Some(existing) = self.lookup(column, value)?.iter().find(|&&r| r != rid) {
                 return Err(TxdbError::DuplicateKey {

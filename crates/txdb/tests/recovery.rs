@@ -559,6 +559,52 @@ fn direct_write_is_atomic_under_append_failure() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn failed_direct_writes_leave_the_version_alone() {
+    let dir = scratch("fault-version");
+    let mut db = open_fast(&dir);
+    db.create_table(accounts_schema()).unwrap();
+    db.insert("account", row![1, 10, Value::Null]).unwrap();
+    let expect = observed_state(&db);
+    let versions = |db: &Database| {
+        let t = db.table("account").unwrap();
+        (t.version(), t.committed_version())
+    };
+    let before = versions(&db);
+    let rid1 = rid_of(&db, 1);
+
+    db.wal_fail_appends_after(0);
+    assert!(matches!(
+        db.delete("account", rid1).unwrap_err(),
+        TxdbError::Io { .. }
+    ));
+    assert_eq!(observed_state(&db), expect, "failed delete leaked");
+    assert_eq!(versions(&db), before, "failed delete moved the version");
+
+    db.wal_fail_appends_after(0);
+    assert!(matches!(
+        db.update("account", rid1, "balance", Value::Int(0))
+            .unwrap_err(),
+        TxdbError::Io { .. }
+    ));
+    assert_eq!(observed_state(&db), expect, "failed update leaked");
+    assert_eq!(versions(&db), before, "failed update moved the version");
+
+    db.wal_fail_appends_after(0);
+    assert!(matches!(
+        db.insert("account", row![2, 20, Value::Null]).unwrap_err(),
+        TxdbError::Io { .. }
+    ));
+    assert_eq!(versions(&db), before, "failed insert moved the version");
+
+    drop(db);
+    let reopened = open_fast(&dir);
+    assert_eq!(observed_state(&reopened), expect);
+    assert_eq!(versions(&reopened), before, "recovered version");
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Reopen `dir` (dropping `db` first: the directory is locked while it
 /// lives) and require the recovered state to equal `expect`.
 fn assert_recovers(db: Database, dir: &Path, expect: &Shadow) {

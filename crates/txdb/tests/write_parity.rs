@@ -13,8 +13,10 @@ use cat_txdb::{
     TableSchema, TxdbError, Value,
 };
 
-/// `owner(id PK, email UNIQUE, age NOT NULL)` and `pet(id PK, owner_id
-/// FK -> owner.id, name)`. Owner 1 has pet 1; owner 2 has none.
+/// `owner(id PK, email UNIQUE, age NOT NULL)`, `pet(id PK, owner_id
+/// FK -> owner.id, name)` and `reservation(customer_id, screening_id,
+/// tickets)` keyed on both ids. Owner 1 has pet 1; owner 2 has none.
+/// The reservations are (1, 10) and (2, 20).
 fn seeded() -> Database {
     let mut db = Database::new();
     db.create_table(
@@ -46,6 +48,16 @@ fn seeded() -> Database {
             Value::Int(age),
         ])
     };
+    db.create_table(
+        TableSchema::builder("reservation")
+            .column("customer_id", DataType::Int)
+            .column("screening_id", DataType::Int)
+            .column("tickets", DataType::Int)
+            .primary_key(&["customer_id", "screening_id"])
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
     db.insert("owner", owner(1, "a@x", 30)).unwrap();
     db.insert("owner", owner(2, "b@x", 40)).unwrap();
     db.insert(
@@ -57,14 +69,36 @@ fn seeded() -> Database {
         ]),
     )
     .unwrap();
+    for (customer, screening) in [(1, 10), (2, 20)] {
+        db.insert("reservation", reservation(customer, screening))
+            .unwrap();
+    }
     db
 }
+
+/// [`seeded`] plus reservation (1, 20).
+fn seeded_with_1_20() -> Database {
+    let mut db = seeded();
+    db.insert("reservation", reservation(1, 20)).unwrap();
+    db
+}
+
+fn reservation(customer: i64, screening: i64) -> Row {
+    Row::new(vec![
+        Value::Int(customer),
+        Value::Int(screening),
+        Value::Int(2),
+    ])
+}
+
+/// A row's primary key as `(column, value)` pairs.
+type Key = &'static [(&'static str, i64)];
 
 /// One write, addressed by primary key so every entry point can express it.
 enum Write {
     Insert(&'static str, Vec<Value>),
-    Update(&'static str, i64, &'static str, Value),
-    Delete(&'static str, i64),
+    Update(&'static str, Key, &'static str, Value),
+    Delete(&'static str, Key),
 }
 
 /// The entry points under test.
@@ -94,8 +128,9 @@ const PATHS: [Path; 6] = [
 ];
 
 /// The row id holding primary key `key`, or an id no row has.
-fn rid_of(db: &Database, table: &str, key: i64) -> RowId {
-    db.select(table, &Predicate::eq("id", key))
+fn rid_of(db: &Database, table: &str, key: Key) -> RowId {
+    let pred = Predicate::all(key.iter().map(|&(c, v)| Predicate::eq(c, v)));
+    db.select(table, &pred)
         .unwrap()
         .first()
         .map_or(RowId(999_999), |(rid, _)| *rid)
@@ -105,11 +140,11 @@ fn typed(db: &mut Database, w: &Write) -> Result<usize, TxdbError> {
     match w {
         Write::Insert(t, cells) => db.insert(t, Row::new(cells.clone())).map(|_| 1),
         Write::Update(t, key, col, v) => {
-            let rid = rid_of(db, t, *key);
+            let rid = rid_of(db, t, key);
             db.update(t, rid, col, v.clone()).map(|_| 1)
         }
         Write::Delete(t, key) => {
-            let rid = rid_of(db, t, *key);
+            let rid = rid_of(db, t, key);
             db.delete(t, rid).map(|_| 1)
         }
     }
@@ -119,14 +154,20 @@ fn txn_api(db: &mut Database, txn: u64, w: &Write) -> Result<usize, TxdbError> {
     match w {
         Write::Insert(t, cells) => db.txn_insert(txn, t, Row::new(cells.clone())).map(|_| 1),
         Write::Update(t, key, col, v) => {
-            let rid = rid_of(db, t, *key);
+            let rid = rid_of(db, t, key);
             db.txn_update(txn, t, rid, col, v.clone()).map(|_| 1)
         }
         Write::Delete(t, key) => {
-            let rid = rid_of(db, t, *key);
+            let rid = rid_of(db, t, key);
             db.txn_delete(txn, t, rid).map(|_| 1)
         }
     }
+}
+
+/// `key` as a SQL conjunction.
+fn sql_where(key: Key) -> String {
+    let eqs: Vec<String> = key.iter().map(|(c, v)| format!("{c} = {v}")).collect();
+    eqs.join(" AND ")
 }
 
 fn sql_text(w: &Write) -> String {
@@ -137,11 +178,12 @@ fn sql_text(w: &Write) -> String {
         }
         Write::Update(t, key, col, v) => {
             format!(
-                "UPDATE {t} SET {col} = {} WHERE id = {key}",
-                v.to_sql_literal()
+                "UPDATE {t} SET {col} = {} WHERE {}",
+                v.to_sql_literal(),
+                sql_where(key)
             )
         }
-        Write::Delete(t, key) => format!("DELETE FROM {t} WHERE id = {key}"),
+        Write::Delete(t, key) => format!("DELETE FROM {t} WHERE {}", sql_where(key)),
     }
 }
 
@@ -164,6 +206,18 @@ fn procedure_for(db: &Database, w: &Write) -> (Procedure, Vec<(String, Value)>) 
     };
     let mut b = Procedure::builder("write");
     let mut args = Vec::new();
+    // One `key_<column>` parameter per key column, and the filter on them.
+    let key: Key = match w {
+        Write::Insert(..) => &[],
+        Write::Update(_, key, ..) | Write::Delete(_, key) => key,
+    };
+    let mut filter = Vec::new();
+    for &(c, v) in key {
+        let name = format!("key_{c}");
+        b = b.param(ParamDef::scalar(name.as_str(), DataType::Int));
+        filter.push((c.to_string(), ParamExpr::param(name.as_str())));
+        args.push((name, Value::Int(v)));
+    }
     match w {
         Write::Insert(t, cells) => {
             let cols: Vec<String> = db
@@ -183,26 +237,21 @@ fn procedure_for(db: &Database, w: &Write) -> (Procedure, Vec<(String, Value)>) 
                 columns: cols,
             });
         }
-        Write::Update(t, key, col, v) => {
+        Write::Update(t, _, col, v) => {
             b = b
-                .param(ParamDef::scalar("key", DataType::Int))
                 .param(ParamDef::scalar("v", param_ty(t, col, v)))
                 .op(ProcOp::Update {
                     table: t.to_string(),
                     set: vec![(col.to_string(), ParamExpr::param("v"))],
-                    filter: vec![("id".into(), ParamExpr::param("key"))],
+                    filter,
                 });
-            args.push(("key".into(), Value::Int(*key)));
             args.push(("v".into(), v.clone()));
         }
-        Write::Delete(t, key) => {
-            b = b
-                .param(ParamDef::scalar("key", DataType::Int))
-                .op(ProcOp::Delete {
-                    table: t.to_string(),
-                    filter: vec![("id".into(), ParamExpr::param("key"))],
-                });
-            args.push(("key".into(), Value::Int(*key)));
+        Write::Delete(t, _) => {
+            b = b.op(ProcOp::Delete {
+                table: t.to_string(),
+                filter,
+            });
         }
     }
     (b.build().unwrap(), args)
@@ -211,7 +260,12 @@ fn procedure_for(db: &Database, w: &Write) -> (Procedure, Vec<(String, Value)>) 
 /// Run `w` through `path` on a fresh seeded database. Returns the
 /// outcome and the database after any open transaction is finished.
 fn run(path: Path, w: &Write) -> (Result<usize, TxdbError>, Database) {
-    let mut db = seeded();
+    run_on(seeded, path, w)
+}
+
+/// [`run`] on a fresh database from `seed`.
+fn run_on(seed: fn() -> Database, path: Path, w: &Write) -> (Result<usize, TxdbError>, Database) {
+    let mut db = seed();
     if path == Path::Procedure {
         let (proc, _) = procedure_for(&db, w);
         db.register_procedure(proc).unwrap();
@@ -318,7 +372,7 @@ fn not_null_violations_agree() {
     );
     assert_rejected_everywhere(
         "update age to NULL",
-        &Write::Update("owner", 2, "age", Value::Null),
+        &Write::Update("owner", &[("id", 2)], "age", Value::Null),
         "NotNullViolation",
     );
 }
@@ -332,7 +386,7 @@ fn type_mismatches_agree() {
     );
     assert_rejected_everywhere(
         "update age to a fraction",
-        &Write::Update("owner", 2, "age", Value::Float(1.5)),
+        &Write::Update("owner", &[("id", 2)], "age", Value::Float(1.5)),
         "TypeMismatch",
     );
 }
@@ -346,7 +400,7 @@ fn duplicate_primary_keys_agree() {
     );
     assert_rejected_everywhere(
         "update id onto another row's",
-        &Write::Update("owner", 2, "id", int(1)),
+        &Write::Update("owner", &[("id", 2)], "id", int(1)),
         "DuplicateKey",
     );
 }
@@ -360,7 +414,7 @@ fn duplicate_unique_values_agree() {
     );
     assert_rejected_everywhere(
         "update email onto another row's",
-        &Write::Update("owner", 2, "email", text("a@x")),
+        &Write::Update("owner", &[("id", 2)], "email", text("a@x")),
         "DuplicateKey",
     );
 }
@@ -374,12 +428,12 @@ fn missing_parents_agree() {
     );
     assert_rejected_everywhere(
         "move pet to owner 99",
-        &Write::Update("pet", 1, "owner_id", int(99)),
+        &Write::Update("pet", &[("id", 1)], "owner_id", int(99)),
         "ForeignKeyViolation",
     );
     assert_rejected_everywhere(
         "delete an owner with a pet",
-        &Write::Delete("owner", 1),
+        &Write::Delete("owner", &[("id", 1)]),
         "ForeignKeyViolation",
     );
 }
@@ -389,8 +443,8 @@ fn missing_rows_agree() {
     // The row-id doors name a row that does not exist; the set-based
     // doors (SQL and procedures) select nothing and report zero rows.
     for w in [
-        Write::Update("owner", 99, "age", int(1)),
-        Write::Delete("owner", 99),
+        Write::Update("owner", &[("id", 99)], "age", int(1)),
+        Write::Delete("owner", &[("id", 99)]),
     ] {
         for path in PATHS {
             let (out, db) = run(path, &w);
@@ -414,9 +468,9 @@ fn valid_writes_agree() {
     // same row count and the same committed state.
     for w in [
         Write::Insert("owner", vec![int(3), text("c@x"), int(50)]),
-        Write::Update("owner", 2, "age", int(41)),
-        Write::Update("owner", 2, "id", int(7)),
-        Write::Delete("pet", 1),
+        Write::Update("owner", &[("id", 2)], "age", int(41)),
+        Write::Update("owner", &[("id", 2)], "id", int(7)),
+        Write::Delete("pet", &[("id", 1)]),
     ] {
         let mut states = Vec::new();
         for path in [Path::Pristine, Path::SqlAutocommit, Path::Procedure] {
@@ -429,6 +483,53 @@ fn valid_writes_agree() {
                 dump, &states[0].1,
                 "{path:?} disagrees with the typed write"
             );
+        }
+    }
+}
+
+#[test]
+fn composite_keys_are_judged_whole() {
+    // Customer 1 already holds (1, 10), but a column of a two-column key
+    // is not unique on its own: moving (2, 20) to customer 1 is legal
+    // while (1, 20) is free...
+    let w = Write::Update(
+        "reservation",
+        &[("customer_id", 2), ("screening_id", 20)],
+        "customer_id",
+        int(1),
+    );
+    let mut states = Vec::new();
+    for path in PATHS {
+        let (out, db) = run(path, &w);
+        assert_eq!(out.unwrap(), 1, "{path:?}");
+        if !matches!(path, Path::TxnApi | Path::SqlSession) {
+            assert_eq!(
+                rid_of(
+                    &db,
+                    "reservation",
+                    &[("customer_id", 1), ("screening_id", 20)]
+                ),
+                rid_of(
+                    &seeded(),
+                    "reservation",
+                    &[("customer_id", 2), ("screening_id", 20)]
+                ),
+                "{path:?}: the row did not move to (1, 20)"
+            );
+            states.push((path, committed(&db).0));
+        }
+    }
+    for (path, dump) in &states[1..] {
+        assert_eq!(
+            dump, &states[0].1,
+            "{path:?} disagrees with the typed write"
+        );
+    }
+    // ... and a duplicate key once (1, 20) exists, through every door.
+    for path in PATHS {
+        match run_on(seeded_with_1_20, path, &w).0 {
+            Err(e) => assert_eq!(variant(&e), "DuplicateKey", "{path:?}: {e}"),
+            Ok(n) => panic!("{path:?}: accepted ({n} rows)"),
         }
     }
 }
