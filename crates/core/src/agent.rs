@@ -433,8 +433,6 @@ impl ConversationalAgent {
         let Some(attr) = ident.pending.clone() else {
             return Ok(false);
         };
-        // Inventory: distinct values of the attribute over the candidates.
-        let inventory = ident.cs.distinct_values(&self.db, &attr)?;
         let text = user_text.trim();
         // Typed parse first (numbers, dates), then fuzzy text match.
         let col_ty = self
@@ -444,18 +442,21 @@ impl ConversationalAgent {
             .column(&attr.column)
             .map(|c| c.ty)
             .unwrap_or(cat_txdb::DataType::Text);
-        let direct = Value::parse_as(col_ty, text)
-            .ok()
-            .filter(|v| inventory.contains(v));
-        let resolved = match direct {
-            Some(v) => Some(v),
-            None => {
-                let rendered: Vec<String> = inventory.iter().map(Value::render).collect();
-                best_match(text, rendered.iter().map(String::as_str), 0.72).map(|(i, sim)| {
-                    if sim < 1.0 && rendered[i].to_lowercase() != text.to_lowercase() {
-                        corrections.push((text.to_string(), rendered[i].clone()));
-                    }
-                    inventory[i].clone()
+        let resolved = match Value::parse_as(col_ty, text).ok() {
+            // An exact answer on an indexed column is one probe.
+            Some(v) if ident.cs.index_contains(&self.db, &attr, &v) => Some(v),
+            parsed => {
+                // Inventory: distinct values of the attribute over the
+                // candidates.
+                let inventory = ident.cs.distinct_values(&self.db, &attr)?;
+                parsed.filter(|v| inventory.contains(v)).or_else(|| {
+                    let rendered: Vec<String> = inventory.iter().map(Value::render).collect();
+                    best_match(text, rendered.iter().map(String::as_str), 0.72).map(|(i, sim)| {
+                        if sim < 1.0 && rendered[i].to_lowercase() != text.to_lowercase() {
+                            corrections.push((text.to_string(), rendered[i].clone()));
+                        }
+                        inventory[i].clone()
+                    })
                 })
             }
         };

@@ -4,12 +4,12 @@
 
 use cat_datagen::{
     build_gazetteer, extract_tasks, generate_nlu_data, simulate_flows, DataGenConfig,
-    SelfPlayConfig, TemplateSet,
+    SelfPlayConfig, TaskSpec, TemplateSet,
 };
 use cat_dm::FlowModel;
 use cat_nlu::{NluConfig, NluPipeline};
 use cat_policy::{DataAwareConfig, DataAwarePolicy};
-use cat_txdb::Database;
+use cat_txdb::{AskPreference, Database};
 
 use crate::agent::ConversationalAgent;
 use crate::annotation::{AnnotationError, AnnotationFile};
@@ -112,10 +112,11 @@ impl CatBuilder {
     }
 
     /// Run the full synthesis: extract tasks, generate + train NLU,
-    /// self-play + train DM, wire the data-aware policy, and bind the
-    /// agent to the database.
-    pub fn synthesize(self) -> (ConversationalAgent, SynthesisReport) {
+    /// self-play + train DM, wire the data-aware policy, build the
+    /// identification indexes, and bind the agent to the database.
+    pub fn synthesize(mut self) -> (ConversationalAgent, SynthesisReport) {
         let tasks = extract_tasks(&self.db);
+        create_identification_indexes(&mut self.db, &tasks);
         let nlu_data = generate_nlu_data(&self.db, &tasks, &self.templates, &self.datagen);
         let gazetteer = build_gazetteer(&self.db, &self.templates);
         let n_gazetteer_slots = gazetteer.slots().len();
@@ -143,6 +144,58 @@ impl CatBuilder {
         );
         (agent, report)
     }
+}
+
+/// A column whose distinct values reach this share of its non-null rows
+/// gets no identification index. Such a near-unique column (a phone
+/// number) would cost about one bucket per row, and one answer narrows
+/// the candidates to a handful, which a walk refines cheaply.
+const NEAR_UNIQUE_SHARE: f64 = 0.9;
+
+/// Build the identification indexes: a hash index on every askable local
+/// column (`ask != Never`, not a foreign key) of each table a task
+/// parameter identifies, unless the column is already indexed (a primary
+/// key or UNIQUE column) or near-unique (see [`NEAR_UNIQUE_SHARE`]). Each
+/// table is scanned once for all of its columns. The indexes serve the
+/// identification reads of the live candidate set (refine, full-table
+/// entropy and inventory, exact answers) without changing any of their
+/// results. They are built on the live tables, not through
+/// [`Database::create_index`]: nothing is logged, so the write-ahead log
+/// and a reopen stay as they were, and the agent rebuilds them at its
+/// next synthesis. Returns the indexed `(table, column)` pairs.
+pub fn create_identification_indexes(
+    db: &mut Database,
+    tasks: &[TaskSpec],
+) -> Vec<(String, String)> {
+    let mut tables: Vec<String> = tasks
+        .iter()
+        .flat_map(|task| &task.params)
+        .filter_map(|param| param.entity.as_ref().map(|(table, _)| table.clone()))
+        .collect();
+    tables.sort_unstable();
+    tables.dedup();
+    let mut created = Vec::new();
+    for table in tables {
+        let Ok(t) = db.table_mut(&table) else {
+            continue;
+        };
+        let schema = t.schema();
+        let columns: Vec<String> = schema
+            .columns()
+            .iter()
+            .filter(|c| c.ask != AskPreference::Never)
+            .filter(|c| schema.foreign_key_on(&c.name).is_none() && !t.has_index(&c.name))
+            .map(|c| c.name.clone())
+            .collect();
+        let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+        let kept = t
+            .create_indexes(&columns, |distinct, non_null| {
+                (distinct as f64) < NEAR_UNIQUE_SHARE * non_null as f64
+            })
+            .expect("the table's own, distinct, unindexed columns");
+        created.extend(kept.into_iter().map(|column| (table.clone(), column)));
+    }
+    created
 }
 
 impl std::fmt::Debug for CatBuilder {

@@ -66,7 +66,7 @@ pub use annotation::{
     AnnotationError, AnnotationFile, ColumnAnnotation, SlotAnnotationDecl, TableAnnotation,
     TaskAnnotation,
 };
-pub use builder::{CatBuilder, SynthesisReport};
+pub use builder::{create_identification_indexes, CatBuilder, SynthesisReport};
 pub use harness::{
     random_cinema_goal, reservation_exists_for, run_nl_batch, run_nl_dialogue, BatchOutcome,
     DialogueOutcome, NlUserConfig, UserGoal,

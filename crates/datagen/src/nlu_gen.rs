@@ -2,6 +2,7 @@
 //! database values, augment with paraphrases and typo noise (paper §3,
 //! "Natural Language Understanding").
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -352,13 +353,16 @@ pub fn build_gazetteer(db: &Database, templates: &TemplateSet) -> Gazetteer {
         if let ValueSource::Column { table, column } = source {
             if let Ok(t) = db.table(table) {
                 if let Some(idx) = t.schema().column_index(column) {
-                    for (_, row) in t.scan() {
-                        if let Some(v) = row.get(idx) {
-                            if !v.is_null() {
-                                g.add(slot, &v.render());
-                            }
-                        }
-                    }
+                    // Text renders as itself: borrow it instead of cloning.
+                    let values = t
+                        .scan()
+                        .filter_map(|(_, row)| row.get(idx))
+                        .filter(|v| !v.is_null())
+                        .map(|v| match v {
+                            Value::Text(s) => Cow::Borrowed(s.as_str()),
+                            other => Cow::Owned(other.render()),
+                        });
+                    g.add_all(slot, values);
                 }
             }
         }

@@ -27,23 +27,30 @@ impl Gazetteer {
 
     /// Register a value for a slot (idempotent).
     pub fn add(&mut self, slot: &str, value: &str) {
-        let norm = normalize(value);
-        if norm.is_empty() {
-            return;
-        }
-        let idx_map = self.normalized.entry(slot.to_string()).or_default();
-        if idx_map.contains_key(&norm) {
-            return;
-        }
-        let vals = self.values.entry(slot.to_string()).or_default();
-        vals.push(value.to_string());
-        idx_map.insert(norm, vals.len() - 1);
+        self.add_all(slot, [value]);
     }
 
-    /// Bulk-register values for a slot.
-    pub fn add_all<'a, I: IntoIterator<Item = &'a str>>(&mut self, slot: &str, values: I) {
-        for v in values {
-            self.add(slot, v);
+    /// Bulk-register values for a slot, looking up the slot's maps once.
+    /// A slot that ends up without values is not registered.
+    pub fn add_all<I, S>(&mut self, slot: &str, values: I)
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        let idx_map = self.normalized.entry(slot.to_string()).or_default();
+        let vals = self.values.entry(slot.to_string()).or_default();
+        for value in values {
+            let value = value.as_ref();
+            let norm = normalize(value);
+            if norm.is_empty() || idx_map.contains_key(&norm) {
+                continue;
+            }
+            vals.push(value.to_string());
+            idx_map.insert(norm, vals.len() - 1);
+        }
+        if vals.is_empty() {
+            self.values.remove(slot);
+            self.normalized.remove(slot);
         }
     }
 
@@ -179,6 +186,8 @@ mod tests {
         g.add("s", "HEAT");
         assert_eq!(g.values("s").len(), 1);
         g.add("s", "");
+        g.add_all("empty", ["", "  "]);
+        assert!(!g.slots().contains(&"empty"), "a slot without values");
         assert_eq!(g.values("s").len(), 1);
     }
 }

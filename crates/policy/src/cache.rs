@@ -7,31 +7,53 @@
 //! `(attribute, candidate-set signature, table version)` so that repeated
 //! turns and repeated sessions over unchanged data hit memory instead of
 //! recomputing — while any write to the underlying table invalidates
-//! implicitly via the version check.
+//! implicitly via the version check. The cache holds at most
+//! [`StatsCache::CAPACITY`] entries and evicts the oldest first.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use parking_lot::Mutex;
 
 /// Cache key: attribute key + candidate-set signature.
 type Key = (String, u64);
 
-/// A versioned entropy cache with hit/miss accounting.
-#[derive(Debug, Default)]
+/// A versioned entropy cache with hit/miss accounting and a fixed entry
+/// cap.
+#[derive(Debug)]
 pub struct StatsCache {
     inner: Mutex<CacheInner>,
+    capacity: usize,
 }
 
 #[derive(Debug, Default)]
 struct CacheInner {
     map: HashMap<Key, (u64, f64)>,
+    /// The map's keys, oldest insertion first: the eviction order.
+    order: VecDeque<Key>,
     hits: u64,
     misses: u64,
 }
 
+impl Default for StatsCache {
+    fn default() -> Self {
+        StatsCache::bounded(StatsCache::CAPACITY)
+    }
+}
+
 impl StatsCache {
+    /// Entries kept before the oldest is evicted. An agent serving the
+    /// perfbench workloads stores about 700–1,100, so none evicts.
+    pub const CAPACITY: usize = 4096;
+
     pub fn new() -> StatsCache {
         StatsCache::default()
+    }
+
+    fn bounded(capacity: usize) -> StatsCache {
+        StatsCache {
+            inner: Mutex::new(CacheInner::default()),
+            capacity,
+        }
     }
 
     /// Fetch the cached value for `(attr_key, signature)` if it was stored
@@ -56,7 +78,14 @@ impl StatsCache {
         }
         // Compute outside the lock (pure function of the database).
         let value = compute();
-        self.inner.lock().map.insert(key, (version, value));
+        let mut inner = self.inner.lock();
+        if inner.map.insert(key.clone(), (version, value)).is_none() {
+            inner.order.push_back(key);
+            if inner.order.len() > self.capacity {
+                let oldest = inner.order.pop_front().expect("over capacity");
+                inner.map.remove(&oldest);
+            }
+        }
         value
     }
 
@@ -89,6 +118,7 @@ impl StatsCache {
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.map.clear();
+        inner.order.clear();
         inner.hits = 0;
         inner.misses = 0;
     }
@@ -138,6 +168,32 @@ mod tests {
         assert_eq!(cache.get_or_compute("a.x", 1, 1, || 1.0), 1.0);
         assert_eq!(cache.get_or_compute("a.x", 2, 1, || 2.0), 2.0);
         assert_eq!(cache.len(), 2);
+    }
+
+    /// Past the cap the oldest entry goes first; a recomputed (stale)
+    /// entry keeps its place in the eviction order.
+    #[test]
+    fn evicts_the_oldest_entry_past_the_cap() {
+        let cache = StatsCache::bounded(3);
+        for sig in 0..3 {
+            cache.get_or_compute("k", sig, 0, || sig as f64);
+        }
+        assert_eq!((cache.len(), cache.stats()), (3, (0, 3)));
+        // A stale hit recomputes in place: no eviction, no reordering.
+        cache.get_or_compute("k", 0, 1, || 10.0);
+        assert_eq!((cache.len(), cache.stats()), (3, (0, 4)));
+        // A fourth key evicts signature 0, the oldest insertion.
+        cache.get_or_compute("k", 3, 0, || 3.0);
+        assert_eq!((cache.len(), cache.stats()), (3, (0, 5)));
+        for sig in 1..4 {
+            assert_eq!(cache.get_or_compute("k", sig, 0, || -1.0), sig as f64);
+        }
+        assert_eq!(cache.stats(), (3, 5));
+        // Signature 0 was evicted: a miss that evicts signature 1 in turn.
+        assert_eq!(cache.get_or_compute("k", 0, 1, || 20.0), 20.0);
+        assert_eq!(cache.stats(), (3, 6));
+        assert_eq!(cache.get_or_compute("k", 1, 0, || 21.0), 21.0);
+        assert_eq!((cache.len(), cache.stats()), (3, (3, 7)));
     }
 
     #[test]

@@ -77,9 +77,33 @@ impl CandidateSet {
     /// [`CandidateSet::values_for_row`] order. Values are hashed by
     /// reference and cloned once each, so this is one pass over the
     /// candidates rather than a scan of the inventory per value.
+    ///
+    /// Over the whole table, a local attribute with an exact index (see
+    /// [`exact_index`]) reads the same list from the index: one value per
+    /// bucket, ordered by the bucket's first (smallest) RowId and cloned
+    /// from that row, which is where the walk first meets it.
     pub fn distinct_values(&self, db: &Database, attr: &Attribute) -> Result<Vec<Value>> {
         let target = db.table(&attr.table)?;
         let idx = target.schema().require_column(&attr.column)?;
+        if let Some(buckets) = exact_index(db, attr)
+            .filter(|t| self.is_whole(t))
+            .and_then(|t| t.index_buckets(&attr.column))
+        {
+            let mut firsts: Vec<RowId> = buckets
+                .filter_map(|(_, ids)| ids.first().copied())
+                .collect();
+            firsts.sort_unstable();
+            return firsts
+                .into_iter()
+                .map(|rid| {
+                    target
+                        .get(rid)
+                        .and_then(|row| row.get(idx))
+                        .cloned()
+                        .ok_or_else(|| no_such_row(&attr.table))
+                })
+                .collect();
+        }
         let mut seen: HashSet<&Value> = HashSet::new();
         let mut out = Vec::new();
         for &rid in &self.rows {
@@ -106,23 +130,28 @@ impl CandidateSet {
     /// Returns the number of remaining candidates. The constraint is
     /// recorded (it keys the statistics cache and drives explanations).
     ///
-    /// When the attribute's column is hash-indexed, the restriction is an
-    /// index-lookup-and-intersect on `RowId` sets: one probe finds every
-    /// row of the attribute table holding `value`, `BackPath` walks the
-    /// FK path *backwards* from that set (each hop is an indexed lookup on
-    /// the FK columns, which the engine auto-indexes), and a sorted merge
-    /// intersects the result with the candidate set. Cost scales with the
-    /// number of matches, not with |candidates| × path length. Without an
-    /// index the per-candidate forward walk runs instead.
+    /// A local attribute with an exact index (see [`exact_index`]) is one
+    /// bucket probe and a galloping intersection with the candidates,
+    /// borrowing the bucket: at most the candidate walk's cost, and far
+    /// less when either side is small. A joined attribute whose column
+    /// is hash-indexed is an index-lookup-and-intersect on `RowId` sets:
+    /// one probe finds every row of the attribute table holding `value`,
+    /// `BackPath` walks the FK path *backwards* from that set (each hop is
+    /// an indexed lookup on the FK columns, which the engine
+    /// auto-indexes), and a sorted merge intersects the result with the
+    /// candidate set. Cost scales with the number of matches, not with
+    /// |candidates| × path length. Otherwise the per-candidate forward
+    /// walk runs.
     pub fn refine(&mut self, db: &Database, attr: &Attribute, value: &Value) -> Result<usize> {
         let target = db.table(&attr.table)?;
-        if target.has_index(&attr.column) {
+        if let Some(bucket) =
+            exact_index(db, attr).and_then(|t| t.index_bucket(&attr.column, value))
+        {
+            self.keep_matching(bucket);
+        } else if !attr.path.is_empty() && target.has_index(&attr.column) {
             let frontier = target.lookup(&attr.column, value)?;
             let matching = BackPath::new(db, &attr.path).walk(frontier);
-            self.rows = intersect_positions(&self.rows, &matching)
-                .into_iter()
-                .map(|i| self.rows[i])
-                .collect();
+            self.keep_matching(&matching);
         } else {
             self.refine_by_walk(db, attr, value)?;
         }
@@ -130,10 +159,35 @@ impl CandidateSet {
         Ok(self.rows.len())
     }
 
-    /// The non-indexed fallback (and pre-index reference implementation):
-    /// walk the join path forward from every candidate and compare the
-    /// reached values in place. Exposed for differential tests and
-    /// benchmarks.
+    /// Whether one probe of an exact index on a local attribute's column
+    /// (see [`exact_index`]) finds a candidate with `value`. `false` when
+    /// none has it or no such index serves the attribute.
+    pub fn index_contains(&self, db: &Database, attr: &Attribute, value: &Value) -> bool {
+        exact_index(db, attr)
+            .and_then(|t| t.index_bucket(&attr.column, value))
+            .is_some_and(|bucket| !intersect_positions(&self.rows, bucket).is_empty())
+    }
+
+    /// Keep the candidates that occur in ascending `matching`.
+    fn keep_matching(&mut self, matching: &[RowId]) {
+        self.rows = intersect_positions(&self.rows, matching)
+            .into_iter()
+            .map(|i| self.rows[i])
+            .collect();
+    }
+
+    /// Whether the set holds exactly the live rows of `t`, so that a read
+    /// over it may come from `t`'s indexes. Most sets fail the length
+    /// check; a set that passes it is compared row by row, since a delete
+    /// and an insert keep the count but change the rows.
+    pub(crate) fn is_whole(&self, t: &Table) -> bool {
+        self.rows.len() == t.len() && self.rows.iter().copied().eq(t.scan().map(|(rid, _)| rid))
+    }
+
+    /// The fallback when no index serves the attribute (and the
+    /// reference implementation): walk the join path forward from every
+    /// candidate and compare the reached values in place. Exposed for
+    /// differential tests and benchmarks.
     #[doc(hidden)]
     pub fn refine_by_walk(
         &mut self,
@@ -216,6 +270,16 @@ impl CandidateSet {
         })?;
         Ok(Some(t.pk_of(row)))
     }
+}
+
+/// The attribute's table when reads of the attribute may come from the
+/// hash index on its column: the attribute is local, its column is
+/// indexed, and the table is clean (see [`Table::mvcc_clean`]), so each
+/// bucket holds exactly the rows whose current value is its key. A dirty
+/// table's buckets also hold the keys of other versions.
+pub(crate) fn exact_index<'a>(db: &'a Database, attr: &Attribute) -> Option<&'a Table> {
+    let t = db.table(&attr.table).ok()?;
+    (attr.path.is_empty() && t.mvcc_clean() && t.has_index(&attr.column)).then_some(t)
 }
 
 fn no_such_row(table: &str) -> TxdbError {

@@ -11,7 +11,7 @@ use cat_txdb::{Database, JoinDirection, Result, RowId, Value};
 use crate::attribute::{enumerate_attributes, Attribute};
 use crate::awareness::AwarenessModel;
 use crate::cache::StatsCache;
-use crate::candidates::{intersect_positions, BackPath, CandidateSet};
+use crate::candidates::{exact_index, intersect_positions, BackPath, CandidateSet};
 
 /// Shannon entropy of a weighted distribution (weights need not be
 /// integers: multi-valued attributes contribute fractional counts).
@@ -131,6 +131,9 @@ fn forward_weights(
 ) -> Result<(Vec<f64>, usize)> {
     let mut covered = 0usize;
     if attr.path.is_empty() {
+        if let Some(read) = bucket_weights(db, cs, attr) {
+            return Ok(read);
+        }
         // Local column: resolve the column index once and hash borrowed
         // values straight from the rows.
         let t = db.table(&attr.table)?;
@@ -160,6 +163,21 @@ fn forward_weights(
         }
     }
     Ok((weights.into_values().collect(), covered))
+}
+
+/// [`forward_weights`] of a local attribute over the whole table, read
+/// from an exact index on its column (see [`exact_index`]). The walk adds
+/// 1.0 per row to its value's weight, so each weight is the exact integer
+/// length of the value's bucket and the covered rows are the sum of those
+/// lengths; [`weighted_entropy`] sums the weights sorted, so the entropy
+/// is bit-identical. `None` when no exact index serves `cs`.
+fn bucket_weights(db: &Database, cs: &CandidateSet, attr: &Attribute) -> Option<(Vec<f64>, usize)> {
+    let buckets = exact_index(db, attr)
+        .filter(|t| cs.is_whole(t))?
+        .index_buckets(&attr.column)?;
+    let lens: Vec<usize> = buckets.map(|(_, ids)| ids.len()).collect();
+    let covered = lens.iter().sum();
+    Some((lens.into_iter().map(|n| n as f64).collect(), covered))
 }
 
 /// The same weights read in reverse: group the attribute table's rows by

@@ -102,6 +102,73 @@ fn bucket_insert(bucket: &mut Vec<RowId>, rid: RowId) {
     }
 }
 
+/// Add `rid` to `value`'s hash-index bucket, cloning the key only when
+/// it opens a new bucket. NULLs are never indexed.
+fn index_insert(map: &mut HashMap<Value, Vec<RowId>>, value: &Value, rid: RowId) {
+    if value.is_null() {
+        return;
+    }
+    match map.get_mut(value) {
+        Some(bucket) => bucket_insert(bucket, rid),
+        None => {
+            map.insert(value.clone(), vec![rid]);
+        }
+    }
+}
+
+/// Remove `rid` from `value`'s hash-index bucket, dropping the bucket
+/// when it empties. Buckets are ascending and duplicate-free, so one
+/// binary search finds the entry.
+fn index_remove(map: &mut HashMap<Value, Vec<RowId>>, value: &Value, rid: RowId) {
+    if value.is_null() {
+        return;
+    }
+    if let Some(ids) = map.get_mut(value) {
+        if let Ok(pos) = ids.binary_search(&rid) {
+            ids.remove(pos);
+        }
+        if ids.is_empty() {
+            map.remove(value);
+        }
+    }
+}
+
+/// One column's rows grouped by borrowed value during an index build:
+/// each distinct value gets a dense group number, and each non-null row
+/// is recorded with its group in scan (ascending RowId) order. Deciding
+/// whether to keep the column needs only the two counts, and a rejected
+/// column never allocates a bucket.
+#[derive(Default)]
+struct Grouping<'t> {
+    groups: HashMap<&'t Value, usize>,
+    members: Vec<(RowId, usize)>,
+}
+
+impl<'t> Grouping<'t> {
+    fn add(&mut self, value: &'t Value, rid: RowId) {
+        let next = self.groups.len();
+        let group = *self.groups.entry(value).or_insert(next);
+        self.members.push((rid, group));
+    }
+
+    /// The index: one exactly sized, ascending bucket per value, keyed
+    /// by a clone of the value.
+    fn into_buckets(self) -> HashMap<Value, Vec<RowId>> {
+        let mut sizes = vec![0usize; self.groups.len()];
+        for &(_, group) in &self.members {
+            sizes[group] += 1;
+        }
+        let mut buckets: Vec<Vec<RowId>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (rid, group) in self.members {
+            buckets[group].push(rid);
+        }
+        self.groups
+            .into_iter()
+            .map(|(v, group)| (v.clone(), std::mem::take(&mut buckets[group])))
+            .collect()
+    }
+}
+
 /// Primary-key tuple of `row` under `schema` (empty if no declared PK).
 /// A free function so cell writers can read it while holding the row
 /// mutably.
@@ -257,23 +324,48 @@ impl Table {
 
     /// Create an additional secondary index on `column`.
     pub fn create_index(&mut self, column: &str) -> Result<()> {
-        self.schema.require_column(column)?;
-        if self.indexes.contains_key(column) {
-            return Err(TxdbError::DuplicateIndex {
-                table: self.schema.name().to_string(),
-                column: column.to_string(),
-            });
-        }
-        let idx = self.schema.column_index(column).expect("checked above");
-        let mut map: HashMap<Value, Vec<RowId>> = HashMap::new();
-        for (&rid, row) in &self.rows {
-            let v = row.get(idx).cloned().unwrap_or(Value::Null);
-            if !v.is_null() {
-                bucket_insert(map.entry(v).or_default(), rid);
+        self.create_indexes(&[column], |_, _| true).map(drop)
+    }
+
+    /// Create hash indexes on several columns in one scan of the rows,
+    /// keeping a column only when `keep(distinct, non_null)` accepts its
+    /// count of distinct non-null values and of non-null rows. Values are
+    /// grouped by reference (see `Grouping`), so each kept key is cloned
+    /// once, and a rejected column clones nothing. Returns the indexed
+    /// columns in argument order. An unknown column, or one already
+    /// indexed or named twice, is an error and creates nothing.
+    pub fn create_indexes(
+        &mut self,
+        columns: &[&str],
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Result<Vec<String>> {
+        let mut positions = Vec::with_capacity(columns.len());
+        for (i, &column) in columns.iter().enumerate() {
+            positions.push(self.schema.require_column(column)?);
+            if self.indexes.contains_key(column) || columns[..i].contains(&column) {
+                return Err(TxdbError::DuplicateIndex {
+                    table: self.schema.name().to_string(),
+                    column: column.to_string(),
+                });
             }
         }
-        self.indexes.insert(column.to_string(), map);
-        Ok(())
+        let mut groupings: Vec<Grouping> = columns.iter().map(|_| Grouping::default()).collect();
+        for (&rid, row) in &self.rows {
+            for (&idx, grouping) in positions.iter().zip(&mut groupings) {
+                if let Some(v) = row.get(idx).filter(|v| !v.is_null()) {
+                    grouping.add(v, rid);
+                }
+            }
+        }
+        let built: Vec<(String, HashMap<Value, Vec<RowId>>)> = columns
+            .iter()
+            .zip(groupings)
+            .filter(|(_, g)| keep(g.groups.len(), g.members.len()))
+            .map(|(column, g)| (column.to_string(), g.into_buckets()))
+            .collect();
+        let created = built.iter().map(|(column, _)| column.clone()).collect();
+        self.indexes.extend(built);
+        Ok(created)
     }
 
     /// Whether a secondary index exists on `column`.
@@ -504,6 +596,20 @@ impl Table {
         self.indexes
             .get(column)
             .map(|map| map.get(value).map_or(&[][..], Vec::as_slice))
+    }
+
+    /// Every bucket of the hash index on `column`: each distinct non-null
+    /// value with its ascending RowIds, in no particular order, or `None`
+    /// when no hash index exists. While the table is dirty (see
+    /// [`Table::mvcc_clean`]) the buckets hold the keys of every version,
+    /// so only a clean table's buckets describe its rows exactly.
+    pub fn index_buckets(
+        &self,
+        column: &str,
+    ) -> Option<impl Iterator<Item = (&Value, &[RowId])> + '_> {
+        self.indexes
+            .get(column)
+            .map(|map| map.iter().map(|(v, ids)| (v, ids.as_slice())))
     }
 
     /// Number of distinct values in the hash index on `column`, or `None`
@@ -771,10 +877,7 @@ impl Table {
     fn index_row(&mut self, rid: RowId, row: &Row) {
         for (col, map) in self.indexes.iter_mut() {
             let idx = self.schema.column_index(col).expect("validated schema");
-            let v = row.get(idx).cloned().unwrap_or(Value::Null);
-            if !v.is_null() {
-                bucket_insert(map.entry(v).or_default(), rid);
-            }
+            index_insert(map, row.get(idx).unwrap_or(&Value::Null), rid);
         }
         for (col, index) in self.range_indexes.iter_mut() {
             let idx = self.schema.column_index(col).expect("validated schema");
@@ -785,15 +888,7 @@ impl Table {
     fn unindex_row(&mut self, rid: RowId, row: &Row) {
         for (col, map) in self.indexes.iter_mut() {
             let idx = self.schema.column_index(col).expect("validated schema");
-            let v = row.get(idx).cloned().unwrap_or(Value::Null);
-            if !v.is_null() {
-                if let Some(ids) = map.get_mut(&v) {
-                    ids.retain(|&r| r != rid);
-                    if ids.is_empty() {
-                        map.remove(&v);
-                    }
-                }
-            }
+            index_remove(map, row.get(idx).unwrap_or(&Value::Null), rid);
         }
         for (col, index) in self.range_indexes.iter_mut() {
             let idx = self.schema.column_index(col).expect("validated schema");
@@ -808,7 +903,7 @@ impl Table {
     // rewriting), rollback unwinds them via the `mvcc_rollback_*` ops,
     // and `vacuum` reclaims versions no snapshot can reach. Indexes hold
     // the union of all versions' keys (adds are idempotent, removals
-    // retain-based), so uniqueness/FK checks through raw `lookup` are
+    // drop one row id), so uniqueness/FK checks through raw `lookup` are
     // conservative supersets while a table is dirty: they may reject
     // against a version that is not committed-visible, which is the
     // first-committer-wins bias snapshot isolation wants.
@@ -1200,7 +1295,7 @@ impl Table {
             .schema
             .is_pk_column(column)
             .then(|| pk_tuple(&self.schema, row));
-        let old = row.set(col_idx, value.clone()).expect("index in range");
+        let old = row.set(col_idx, value).expect("index in range");
         if let Some(old_pk) = old_pk {
             let new_pk = pk_tuple(&self.schema, row);
             if old_pk != new_pk {
@@ -1208,22 +1303,14 @@ impl Table {
                 self.pk_index.insert(new_pk, rid);
             }
         }
+        let new = row.get(col_idx).expect("index in range");
         if let Some(map) = self.indexes.get_mut(column) {
-            if !old.is_null() {
-                if let Some(ids) = map.get_mut(&old) {
-                    ids.retain(|&r| r != rid);
-                    if ids.is_empty() {
-                        map.remove(&old);
-                    }
-                }
-            }
-            if !value.is_null() {
-                bucket_insert(map.entry(value.clone()).or_default(), rid);
-            }
+            index_remove(map, &old, rid);
+            index_insert(map, new, rid);
         }
         if let Some(index) = self.range_indexes.get_mut(column) {
             index.remove(&old, rid);
-            index.insert(value, rid);
+            index.insert(new.clone(), rid);
         }
         self.version += 1;
         Some(old)
@@ -1325,6 +1412,82 @@ mod tests {
             .build()
             .unwrap();
         Table::new(schema).unwrap()
+    }
+
+    /// Incremental hash-index maintenance (inserts, deletes, updates that
+    /// move rows between buckets, empty buckets and NULLs) leaves exactly
+    /// the buckets a fresh build over the final rows produces.
+    #[test]
+    fn maintained_buckets_equal_a_fresh_rebuild() {
+        let mut t = movie_table();
+        t.create_index("genre").unwrap();
+        t.create_index("rating").unwrap();
+        let genres = ["Drama", "Crime", "Horror", "Western"];
+        let mut rids = Vec::new();
+        for i in 0..40i64 {
+            let rating = if i % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Float((i % 4) as f64)
+            };
+            let genre = genres[(i % 3) as usize];
+            let row = Row::new(vec![
+                Value::Int(i),
+                format!("m{i}").into(),
+                genre.into(),
+                rating,
+            ]);
+            rids.push(t.insert(row).unwrap());
+        }
+        for (k, &rid) in rids.iter().enumerate() {
+            match k % 4 {
+                0 => drop(t.delete(rid).unwrap()),
+                1 => drop(t.update(rid, "genre", genres[k % 4 + 2].into()).unwrap()),
+                2 => drop(t.update(rid, "rating", Value::Null).unwrap()),
+                _ => drop(t.update(rid, "rating", Value::Float(9.0)).unwrap()),
+            }
+        }
+        for rid in t.lookup("genre", &"Horror".into()).unwrap() {
+            t.update(rid, "genre", "Drama".into()).unwrap();
+        }
+        // Every "Horror" row moved away: its bucket must be gone.
+        assert_eq!(t.index_bucket_len("genre", &"Horror".into()), Some(0));
+        let mut fresh = t.clone();
+        fresh.indexes.clear();
+        fresh
+            .create_indexes(&t.indexed_columns(), |_, _| true)
+            .unwrap();
+        assert_eq!(fresh.indexed_columns(), ["genre", "movie_id", "rating"]);
+        assert_eq!(t.indexes, fresh.indexes);
+    }
+
+    /// `create_indexes` builds the kept columns in one scan and rejects
+    /// bad requests before building anything.
+    #[test]
+    fn create_indexes_keeps_only_accepted_columns() {
+        let mut t = movie_table();
+        for i in 0..10i64 {
+            let genre = if i % 2 == 0 { "Drama" } else { "Crime" };
+            t.insert(row![i, format!("m{i}"), genre, 1.0]).unwrap();
+        }
+        // Titles are all distinct, genres take two values.
+        let kept = t
+            .create_indexes(&["title", "genre"], |distinct, non_null| {
+                distinct < non_null
+            })
+            .unwrap();
+        assert_eq!(kept, ["genre"]);
+        assert!(!t.has_index("title"));
+        assert_eq!(t.index_distinct("genre"), Some(2));
+        assert!(matches!(
+            t.create_indexes(&["rating", "genre"], |_, _| true),
+            Err(TxdbError::DuplicateIndex { .. })
+        ));
+        assert!(t
+            .create_indexes(&["rating", "rating"], |_, _| true)
+            .is_err());
+        assert!(t.create_indexes(&["rating", "bogus"], |_, _| true).is_err());
+        assert!(!t.has_index("rating"), "a failed request creates nothing");
     }
 
     #[test]
